@@ -19,26 +19,4 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-// Accumulates named intervals; scoped helper adds on destruction.
-class StopwatchAccumulator {
- public:
-  void add(double seconds) { total_ += seconds; ++count_; }
-  double total() const { return total_; }
-  long count() const { return count_; }
-
- private:
-  double total_ = 0.0;
-  long count_ = 0;
-};
-
-class ScopedStopwatch {
- public:
-  explicit ScopedStopwatch(StopwatchAccumulator& acc) : acc_(acc) {}
-  ~ScopedStopwatch() { acc_.add(timer_.seconds()); }
-
- private:
-  StopwatchAccumulator& acc_;
-  WallTimer timer_;
-};
-
 }  // namespace gbmo

@@ -11,8 +11,6 @@
 // blk.commit() — the deterministic-accumulation rule that keeps results
 // bit-identical for any --sim-threads value (see sim/launch.h). The charged
 // counters still model the direct-atomic kernel, unchanged.
-#include <vector>
-
 #include "core/hist_common.h"
 #include "core/histogram.h"
 #include "sim/launch.h"
@@ -45,41 +43,28 @@ class GlobalBuilder final : public HistogramBuilder {
       const std::size_t chunk = static_cast<std::size_t>(blk.block_id()) %
                                 static_cast<std::size_t>(chunks);
       const std::uint32_t f = in.features[fi];
-      const std::uint8_t zb = layout.zero_bin(f);
       const std::size_t row_lo = chunk * kBlock;
       const std::size_t row_hi = std::min(n_rows, row_lo + kBlock);
       if (row_lo >= row_hi) return;
 
+      // Block-private tile for this feature's slice, from the worker's
+      // reused scratch; flushed in block-id order below so the accumulation
+      // order is worker-count-independent.
+      const int n_bins = layout.n_bins(f);
+      auto& tile = detail::worker_tile();
+      tile.reset(static_cast<std::size_t>(n_bins), d);
+      auto tile_v = blk.shared_view(tile.sums, "hist_block_tile",
+                                    sim::SharedInit::kZeroed);
+      auto tile_counts_v = blk.shared_view(tile.counts, "hist_block_counts",
+                                           sim::SharedInit::kZeroed);
+
+      // Conflicts are noted at the global slot address the modeled
+      // direct-atomic kernel hits.
       detail::BuildTally tally;
       sim::ConflictTracker tracker;
-
-      // Block-private tile for this feature's slice; flushed in block-id
-      // order below so the accumulation order is worker-count-independent.
-      const int n_bins = layout.n_bins(f);
-      std::vector<sim::GradPair> local(static_cast<std::size_t>(n_bins) *
-                                       static_cast<std::size_t>(d));
-      std::vector<std::uint32_t> local_counts(
-          static_cast<std::size_t>(n_bins), 0);
-
-      for (std::size_t r = row_lo; r < row_hi; ++r) {
-        const std::size_t row = in.node_rows[r];
-        const std::uint8_t bin = detail::fetch_bin(*in.bins, in.packed, row, f);
-        ++tally.elements;
-        if (in.sparsity_aware && bin == zb) continue;
-        ++tally.nonzero;
-
-        const std::size_t base = layout.slot(f, bin, 0);
-        tally.conflict_hits += tracker.note(static_cast<std::uintptr_t>(base));
-        const float* gi = in.g.data() + row * static_cast<std::size_t>(d);
-        const float* hi = in.h.data() + row * static_cast<std::size_t>(d);
-        sim::GradPair* slot =
-            local.data() + static_cast<std::size_t>(bin) * static_cast<std::size_t>(d);
-        for (int k = 0; k < d; ++k) {
-          slot[k].g += gi[k];
-          slot[k].h += hi[k];
-        }
-        ++local_counts[bin];
-      }
+      detail::accumulate_rows(in, f, row_lo, row_hi, 0, n_bins,
+                              /*key_base=*/layout.slot(f, 0, 0), tile_v,
+                              tile_counts_v, tally, tracker);
 
       // Checked views over the cross-block histogram (race/memory checker;
       // non-counting — the bulk tallies below stay the profile of record).
@@ -89,18 +74,8 @@ class GlobalBuilder final : public HistogramBuilder {
           blk.global_view(std::span<std::uint32_t>(out.counts), "hist_counts");
 
       blk.commit([&] {
-        for (int b = 0; b < n_bins; ++b) {
-          if (local_counts[static_cast<std::size_t>(b)] == 0) continue;
-          const std::size_t gbase = layout.slot(f, b, 0);
-          const std::size_t lbase =
-              static_cast<std::size_t>(b) * static_cast<std::size_t>(d);
-          for (int k = 0; k < d; ++k) {
-            sums_v.atomic_add(gbase + static_cast<std::size_t>(k),
-                              local[lbase + static_cast<std::size_t>(k)]);
-          }
-          counts_v.atomic_add(layout.bin_index(f, b),
-                              local_counts[static_cast<std::size_t>(b)]);
-        }
+        detail::flush_tile(layout, f, 0, n_bins, tile_v, tile_counts_v, sums_v,
+                           counts_v);
       });
 
       auto& s = blk.stats();

@@ -90,6 +90,18 @@ class Global {
     }
   }
 
+  // n atomic adds data_[i + k] += src[k]. Made one by one, exactly as n
+  // atomic_add calls, when the view is checked or counting or the range
+  // overruns; otherwise one plain loop.
+  void atomic_add_range(std::size_t i, const T* src, std::size_t n) {
+    if (check_ != nullptr || stats_ != nullptr || i + n > data_.size()) {
+      for (std::size_t k = 0; k < n; ++k) atomic_add(i + k, src[k]);
+      return;
+    }
+    T* p = data_.data() + i;
+    for (std::size_t k = 0; k < n; ++k) p[k] += src[k];
+  }
+
   std::size_t size() const { return data_.size(); }
   std::span<T> raw() { return data_; }
 
@@ -169,9 +181,63 @@ class Shared {
     }
   }
 
+  // d-wide gradient-pair atomic add: data_[i + k] += {g[k], h[k]} for
+  // k < n, for a T with float members g and h (GradPair). Equivalent to n
+  // atomic_add calls, and it makes them when the view is checked or
+  // counting (the checker sees every word, a counting view charges each) or
+  // when the range overruns (so the per-word bounds checks fire). Otherwise
+  // it is one loop that -O2 turns into vector adds; every slot still
+  // receives exactly one float add, so the result is unchanged.
+  void atomic_add_pairs(std::size_t i, const float* g, const float* h,
+                        std::size_t n) {
+    if (check_ != nullptr || stats_ != nullptr || i + n > data_.size()) {
+      add_pairs_each(i, g, h, n);
+      return;
+    }
+    T* p = data_.data() + i;
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+      // Interleave four g/h pairs (two vector loads and unpacks), then add
+      // them to the four slots (two vector adds). All loads come before the
+      // stores, so no alias check is needed.
+      float gh[8];
+      for (int j = 0; j < 4; ++j) {
+        gh[2 * j] = g[k + j];
+        gh[2 * j + 1] = h[k + j];
+      }
+      for (int j = 0; j < 4; ++j) {
+        p[k + j].g += gh[2 * j];
+        p[k + j].h += gh[2 * j + 1];
+      }
+    }
+    for (; k < n; ++k) {
+      p[k].g += g[k];
+      p[k].h += h[k];
+    }
+  }
+
+  // Adds words [i, i + n) into dst[j, j + n): the loads and atomic adds of
+  // n `dst.atomic_add(j + k, load(i + k))` calls, which it makes when this
+  // view is checked or counting or the range overruns.
+  void add_range_to(std::size_t i, std::size_t n, Global<T>& dst,
+                    std::size_t j) const {
+    if (check_ != nullptr || stats_ != nullptr || i + n > data_.size()) {
+      for (std::size_t k = 0; k < n; ++k) dst.atomic_add(j + k, load(i + k));
+      return;
+    }
+    dst.atomic_add_range(j, data_.data() + i, n);
+  }
+
   std::size_t size() const { return data_.size(); }
 
  private:
+  // The per-word path of atomic_add_pairs, kept out of line so the plain
+  // loop compiles without its register and stack cost.
+  [[gnu::noinline]] void add_pairs_each(std::size_t i, const float* g,
+                                        const float* h, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) atomic_add(i + k, T{g[k], h[k]});
+  }
+
   std::vector<T>& data_;
   KernelStats* stats_ = nullptr;
   BlockCheck* check_ = nullptr;

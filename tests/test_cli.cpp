@@ -2,9 +2,12 @@
 // binary executes, driven with temp files.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "cli.h"
 
@@ -23,19 +26,41 @@ CliResult run_cli(std::initializer_list<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
-std::string tmp_path(const char* name) {
-  return std::string("/tmp/gbmo_cli_test_") + name;
-}
-
-class CliFlow : public ::testing::Test {
+// Gives each test a scratch directory of its own, named from the test and
+// the process id: ctest runs tests as concurrent processes, so fixed paths
+// would let one test overwrite another's files. Removed in TearDown.
+class CliTempDir : public ::testing::Test {
  protected:
   void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("gbmo_cli_test_") + info->test_suite_name() + "_" +
+            info->name() + "_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  std::string tmp_path(const char* name) const { return (dir_ / name).string(); }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+class CliFlow : public CliTempDir {
+ protected:
+  void SetUp() override {
+    CliTempDir::SetUp();
     const auto gen = run_cli({"generate", "--task", "multiclass", "--n", "400",
                               "--m", "8", "--d", "3", "--seed", "9", "--out",
                               tmp_path("data.csv")});
     ASSERT_EQ(gen.code, 0) << gen.err;
   }
 };
+
+class CliErrors : public CliTempDir {};
+class CliGenerate : public CliTempDir {};
 
 TEST_F(CliFlow, TrainEvaluatePredictInfoImportance) {
   const auto train = run_cli({"train", "--data", tmp_path("data.csv"),
@@ -120,7 +145,7 @@ TEST_F(CliFlow, TrainWithValidationAndEarlyStop) {
   EXPECT_NE(train.out.find("valid accuracy%"), std::string::npos);
 }
 
-TEST(CliErrors, UnknownCommandAndMissingOptions) {
+TEST_F(CliErrors, UnknownCommandAndMissingOptions) {
   const auto bad = run_cli({"frobnicate"});
   EXPECT_EQ(bad.code, 2);
   EXPECT_NE(bad.err.find("unknown command"), std::string::npos);
@@ -138,7 +163,7 @@ TEST(CliErrors, UnknownCommandAndMissingOptions) {
   EXPECT_NE(help.out.find("usage"), std::string::npos);
 }
 
-TEST(CliErrors, ModelLoadFailureExitsNonzeroWithClearMessage) {
+TEST_F(CliErrors, ModelLoadFailureExitsNonzeroWithClearMessage) {
   // Missing file: nonzero exit, message names the path and the problem.
   const auto missing = run_cli({"info", "--model", tmp_path("never_written")});
   EXPECT_EQ(missing.code, 1);
@@ -156,7 +181,6 @@ TEST(CliErrors, ModelLoadFailureExitsNonzeroWithClearMessage) {
   EXPECT_EQ(garbage.code, 1);
   EXPECT_NE(garbage.err.find("failed to load model"), std::string::npos);
   EXPECT_NE(garbage.err.find("not a gbmo model file"), std::string::npos);
-  std::remove(garbage_path.c_str());
 }
 
 TEST(CliBench, RunsNamedReplica) {
@@ -167,7 +191,7 @@ TEST(CliBench, RunsNamedReplica) {
   EXPECT_NE(bench.out.find("test rmse"), std::string::npos);
 }
 
-TEST(CliGenerate, LibsvmFormatRoundTrips) {
+TEST_F(CliGenerate, LibsvmFormatRoundTrips) {
   const auto gen = run_cli({"generate", "--task", "multiregress", "--n", "100",
                             "--m", "6", "--d", "2", "--sparsity", "0.5",
                             "--format", "libsvm", "--out", tmp_path("r.svm")});

@@ -229,6 +229,31 @@ TEST(SimChecker, OutOfBoundsFlaggedAndSuppressed) {
   EXPECT_EQ(offenders.front().index, 19u);
 }
 
+// The d-wide pair add reports every word under an armed checker: the words
+// inside the tile land, the one past its end is flagged and dropped.
+TEST(SimChecker, PairAddOutOfRangeFlaggedAndSuppressed) {
+  CheckGuard guard(sim::CheckMode::kReport, /*threads=*/1);
+  sim::Device dev(sim::DeviceSpec::rtx4090());
+  std::vector<sim::GradPair> tile(4);
+  const float g[3] = {1.0f, 2.0f, 3.0f};
+  const float h[3] = {4.0f, 5.0f, 6.0f};
+  sim::launch(dev, "toy_pair_oob", 1, 4, [&](sim::BlockCtx& blk) {
+    auto tv = blk.shared_view(tile, "pair_tile", sim::SharedInit::kZeroed);
+    tv.atomic_add_pairs(2, g, h, 3);  // words 2 and 3 land; word 4 overruns
+  });
+  EXPECT_EQ(tile[0], sim::GradPair{});
+  EXPECT_EQ(tile[1], sim::GradPair{});
+  EXPECT_EQ(tile[2], (sim::GradPair{1.0f, 4.0f}));
+  EXPECT_EQ(tile[3], (sim::GradPair{2.0f, 5.0f}));
+  auto& report = sim::CheckReport::instance();
+  EXPECT_EQ(report.kernel_violations("toy_pair_oob"), 1u);
+  EXPECT_EQ(report.kind_violations(sim::ViolationKind::kSharedOob), 1u);
+  const auto offenders = report.first_offenders();
+  ASSERT_FALSE(offenders.empty());
+  EXPECT_EQ(offenders.front().site, "pair_tile");
+  EXPECT_EQ(offenders.front().index, 4u);
+}
+
 // Non-atomic contention: every lane read-modify-writes the same shared word.
 // The atomic variant is exempt (same-epoch atomic/atomic is serialized on
 // hardware); the plain variant races.
