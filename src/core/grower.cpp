@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <unordered_map>
 
 #include "common/error.h"
 #include "core/gradients.h"
@@ -9,6 +10,91 @@
 #include "sim/launch.h"
 
 namespace gbmo::core {
+
+namespace {
+
+// Histogram ledger charges land on every device of the group.
+void note_alloc_all(sim::DeviceGroup& group, std::size_t bytes) {
+  for (int i = 0; i < group.size(); ++i) group.device(i).note_alloc(bytes);
+}
+
+void note_free_all(sim::DeviceGroup& group, std::size_t bytes) {
+  for (int i = 0; i < group.size(); ++i) group.device(i).note_free(bytes);
+}
+
+// The node histograms one tree's growth holds, as device-memory ledger
+// charges. Pooled histograms count against ctx.hist_pool_budget and are
+// refused when sibling subtraction is off (only subtraction needs a
+// histogram to outlive its split selection). The two scratch buffers are
+// charged once, on first use, and reused for every node that gets no pooled
+// histogram.
+class HistPool {
+ public:
+  HistPool(sim::DeviceGroup& group, const GrowerContext& ctx)
+      : group_(group),
+        layout_(ctx.layout),
+        bytes_(ctx.layout.byte_size()),
+        budget_(ctx.hist_pool_budget),
+        enabled_(ctx.config.sibling_subtraction) {}
+
+  // Charges `n` pooled histograms; false, with nothing charged, when pooling
+  // is off or they would exceed the budget.
+  bool reserve(std::size_t n) {
+    if (!enabled_ || live_ + n * bytes_ > budget_) return false;
+    note_alloc_all(group_, n * bytes_);
+    live_ += n * bytes_;
+    return true;
+  }
+  void release(std::size_t n) {
+    note_free_all(group_, n * bytes_);
+    live_ -= n * bytes_;
+  }
+  // One zeroed pooled histogram, or null when reserve(1) fails.
+  std::unique_ptr<NodeHistogram> acquire() {
+    if (!reserve(1)) return nullptr;
+    auto hist = std::make_unique<NodeHistogram>();
+    hist->resize(layout_);
+    return hist;
+  }
+  void drop(std::unique_ptr<NodeHistogram>& hist) {
+    if (!hist) return;
+    hist.reset();
+    release(1);
+  }
+  // Scratch buffer `i` (0 or 1), zeroed.
+  NodeHistogram& scratch(std::size_t i) {
+    NodeHistogram& s = scratch_[i];
+    if (s.sums.size() != layout_.size()) {
+      s.resize(layout_);
+      note_alloc_all(group_, bytes_);
+    } else {
+      s.clear();
+    }
+    return s;
+  }
+  // Frees the pooled bytes still held, then the scratch buffers. Explicit,
+  // not a destructor: a tree that throws mid-grow (a device loss the booster
+  // recovers from) keeps its charges on the ledger, and the reported peak
+  // device bytes of a failover run include them.
+  void release_all() {
+    note_free_all(group_, live_);
+    live_ = 0;
+    for (const NodeHistogram& s : scratch_) {
+      if (s.sums.size() == layout_.size()) note_free_all(group_, bytes_);
+    }
+  }
+
+ private:
+  sim::DeviceGroup& group_;
+  const HistogramLayout& layout_;
+  const std::size_t bytes_;
+  const std::size_t budget_;
+  const bool enabled_;
+  std::size_t live_ = 0;
+  NodeHistogram scratch_[2];
+};
+
+}  // namespace
 
 GrowerContext GrowerContext::create(const data::BinnedMatrix& bins,
                                     const data::BinCuts& cuts, int n_outputs,
@@ -21,28 +107,6 @@ GrowerContext GrowerContext::create(const data::BinnedMatrix& bins,
   ctx.hist_pool_budget = static_cast<std::size_t>(
                              std::max(1, config.hist_budget_mb))
                          << 20;
-
-  const int k = std::max(1, config.n_devices);
-  const std::size_t m = bins.n_cols();
-  ctx.device_features.resize(static_cast<std::size_t>(k));
-  // Contiguous feature chunks (better transfer locality than round-robin).
-  const std::size_t chunk = (m + static_cast<std::size_t>(k) - 1) / static_cast<std::size_t>(k);
-  for (int i = 0; i < k; ++i) {
-    const std::size_t lo = static_cast<std::size_t>(i) * chunk;
-    const std::size_t hi = std::min(m, lo + chunk);
-    for (std::size_t f = lo; f < hi; ++f) {
-      ctx.device_features[static_cast<std::size_t>(i)].push_back(
-          static_cast<std::uint32_t>(f));
-    }
-  }
-
-  const std::size_t n = bins.n_rows();
-  ctx.device_row_bounds.resize(static_cast<std::size_t>(k) + 1);
-  for (int i = 0; i <= k; ++i) {
-    ctx.device_row_bounds[static_cast<std::size_t>(i)] =
-        static_cast<std::uint32_t>(n * static_cast<std::size_t>(i) /
-                                   static_cast<std::size_t>(k));
-  }
   return ctx;
 }
 
@@ -63,37 +127,12 @@ void GrowerContext::apply_bundling(const data::FeatureBundling& plan,
     zeros.push_back(0);  // bundled bin 0 = all members at their default
   }
   bundle_layout = HistogramLayout(bin_counts, zeros, layout.n_outputs());
-
-  // Repartition the device columns bundle-aligned: the device that owns a
-  // bundled histogram column must also own all its member features, so the
-  // expanded histogram slots it writes are exactly the slots it would have
-  // owned without bundling.
-  const std::size_t k = device_features.size();
-  const std::size_t nb = plan.bundles.size();
-  device_bundles.assign(k, {});
-  for (auto& df : device_features) df.clear();
-  const std::size_t chunk = (nb + k - 1) / k;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t lo = i * chunk;
-    const std::size_t hi = std::min(nb, lo + chunk);
-    for (std::size_t bi = lo; bi < hi; ++bi) {
-      device_bundles[i].push_back(static_cast<std::uint32_t>(bi));
-      for (std::uint32_t f : plan.bundles[bi].features) {
-        device_features[i].push_back(f);
-      }
-    }
-    std::sort(device_features[i].begin(), device_features[i].end());
-  }
 }
 
 TreeGrower::TreeGrower(sim::DeviceGroup& group, const GrowerContext& ctx)
     : group_(group), ctx_(ctx), builder_(make_builder(ctx.config.hist_method)) {
   GBMO_CHECK(group.size() == std::max(1, ctx.config.n_devices));
-  all_features_.resize(ctx.bins->n_cols());
-  std::iota(all_features_.begin(), all_features_.end(), 0u);
-  device_features_ = ctx.device_features;
-  device_bundles_ = ctx.device_bundles;
-  device_row_bounds_ = ctx.device_row_bounds;
+  redistribute_over_alive();
   if (group.size() > 1 &&
       ctx.config.multi_gpu != MultiGpuMode::kFeatureParallel) {
     // Row-partitioned modes build the functional histogram on an off-group
@@ -133,17 +172,8 @@ data::BlockCacheStats TreeGrower::paging_stats() const {
   return total;
 }
 
-sim::Device& TreeGrower::charge_device() {
-  const int fa = group_.first_alive();
-  return group_.device(fa < 0 ? 0 : fa);
-}
-
-void TreeGrower::note_alloc_all(std::size_t bytes) {
-  for (int i = 0; i < group_.size(); ++i) group_.device(i).note_alloc(bytes);
-}
-
-void TreeGrower::note_free_all(std::size_t bytes) {
-  for (int i = 0; i < group_.size(); ++i) group_.device(i).note_free(bytes);
+int TreeGrower::lead_device() const {
+  return std::max(0, group_.first_alive());
 }
 
 void TreeGrower::redistribute_over_alive() {
@@ -152,90 +182,103 @@ void TreeGrower::redistribute_over_alive() {
     if (!group_.is_lost(i)) alive.push_back(i);
   }
   GBMO_CHECK(!alive.empty()) << "device-loss failover with no survivors";
-  // Row shards: the survivors re-partition the full row range evenly; lost
-  // devices keep zero-width ranges so the upper_bound owner lookup in the
-  // histogram builds still lands on a live device.
-  {
-    const std::size_t n = ctx_.bins->n_rows();
-    device_row_bounds_.assign(static_cast<std::size_t>(group_.size()) + 1, 0);
-    std::size_t rank = 0;
-    for (int i = 0; i < group_.size(); ++i) {
-      if (!group_.is_lost(i)) ++rank;
-      device_row_bounds_[static_cast<std::size_t>(i) + 1] =
-          static_cast<std::uint32_t>(n * rank / alive.size());
-    }
-  }
-  for (auto& df : device_features_) df.clear();
-  if (ctx_.bundling != nullptr) {
-    // Bundle-aligned repartition over the survivors (same rule as
-    // GrowerContext::apply_bundling).
-    const std::size_t nb = ctx_.bundling->bundles.size();
-    for (auto& db : device_bundles_) db.clear();
-    const std::size_t chunk = (nb + alive.size() - 1) / alive.size();
-    for (std::size_t a = 0; a < alive.size(); ++a) {
-      const std::size_t lo = a * chunk;
-      const std::size_t hi = std::min(nb, lo + chunk);
-      auto& db = device_bundles_[static_cast<std::size_t>(alive[a])];
-      auto& df = device_features_[static_cast<std::size_t>(alive[a])];
-      for (std::size_t bi = lo; bi < hi; ++bi) {
-        db.push_back(static_cast<std::uint32_t>(bi));
-        for (std::uint32_t f : ctx_.bundling->bundles[bi].features) {
-          df.push_back(f);
-        }
-      }
-      std::sort(df.begin(), df.end());
-    }
-    return;
-  }
-  const std::size_t m = ctx_.bins->n_cols();
-  // Same contiguous-chunk rule as GrowerContext::create, over the survivors.
-  const std::size_t chunk = (m + alive.size() - 1) / alive.size();
+  const auto k = static_cast<std::size_t>(group_.size());
+  const data::FeatureBundling* plan = ctx_.bundling;
+
+  // Columns: contiguous chunks (better transfer locality than round-robin)
+  // of features, or of whole bundles with all their member features.
+  const std::size_t units =
+      plan != nullptr ? plan->bundles.size() : ctx_.bins->n_cols();
+  const std::size_t chunk = (units + alive.size() - 1) / alive.size();
+  device_features_.assign(k, {});
+  device_bundles_.assign(plan != nullptr ? k : 0, {});
   for (std::size_t a = 0; a < alive.size(); ++a) {
-    const std::size_t lo = a * chunk;
-    const std::size_t hi = std::min(m, lo + chunk);
-    auto& df = device_features_[static_cast<std::size_t>(alive[a])];
-    for (std::size_t f = lo; f < hi; ++f) {
-      df.push_back(static_cast<std::uint32_t>(f));
+    const auto dev = static_cast<std::size_t>(alive[a]);
+    auto& df = device_features_[dev];
+    for (std::size_t u = a * chunk; u < std::min(units, (a + 1) * chunk); ++u) {
+      if (plan == nullptr) {
+        df.push_back(static_cast<std::uint32_t>(u));
+        continue;
+      }
+      device_bundles_[dev].push_back(static_cast<std::uint32_t>(u));
+      const auto& members = plan->bundles[u].features;
+      df.insert(df.end(), members.begin(), members.end());
     }
+    std::sort(df.begin(), df.end());
+  }
+
+  // Row shards: the survivors split the full row range evenly; lost devices
+  // keep zero-width ranges so the upper_bound owner lookup in the histogram
+  // build still lands on a live device.
+  const std::size_t n = ctx_.bins->n_rows();
+  device_row_bounds_.assign(k + 1, 0);
+  std::size_t rank = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (!group_.is_lost(static_cast<int>(i))) ++rank;
+    device_row_bounds_[i + 1] =
+        static_cast<std::uint32_t>(n * rank / alive.size());
   }
 }
 
-void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out,
+void TreeGrower::build_node_histogram(const ActiveNode& node,
+                                      std::span<const std::uint32_t> row_order,
+                                      NodeHistogram& out,
                                       std::span<const float> g,
                                       std::span<const float> h) {
-  if (ctx_.bundling != nullptr) {
-    build_node_histogram_bundled(node, out, g, h);
-    return;
-  }
   const auto& cfg = ctx_.config;
-  // Row span of this node in the (grow-local) row order is provided via the
-  // totals/slice captured below by the caller; histogram input row list is
-  // stored on the node by the caller through node_rows_.
+  const bool bundled = ctx_.bundling != nullptr;
+  group_.set_phase("histogram");
   HistBuildInput in;
-  in.bins = ctx_.bins;
   in.g = g;
   in.h = h;
-  in.layout = &ctx_.layout;
-  in.packed = cfg.warp_opt && ctx_.bins->packed();
-  in.sparsity_aware = cfg.sparsity_aware;
-  in.csc_indirection = cfg.csc_storage;
   in.node_totals = node.totals;
   in.node_count = node.count();
-  in.node_rows = node_rows_;
+  in.node_rows = row_order.subspan(node.begin, node.count());
+  // EFB accumulates over the bundled matrix: a plain dense column-major
+  // array (warp packing and CSC indirection describe the original storage),
+  // whose bin 0 is every bundle's shared all-default bin. Skipping it is
+  // exactly the §3.2 sparsity optimization; the per-member zero bins are
+  // reconstructed from the node totals during expansion.
+  in.bins = bundled ? ctx_.bundled_bins : ctx_.bins;
+  in.layout = bundled ? &ctx_.bundle_layout : &ctx_.layout;
+  in.packed = !bundled && cfg.warp_opt && ctx_.bins->packed();
+  in.sparsity_aware = bundled || cfg.sparsity_aware;
+  in.csc_indirection = !bundled && cfg.csc_storage;
+
+  // Builds `dev_in` on `dev` into `dst` in the original layout; EFB builds
+  // into the bundle scratch and expands the built bundles into `dst`.
+  auto build = [&](sim::Device& dev, const HistBuildInput& dev_in,
+                   NodeHistogram& dst) {
+    if (!bundled) {
+      builder_->build(dev, dev_in, dst);
+      return;
+    }
+    if (bundle_scratch_.sums.size() != ctx_.bundle_layout.size()) {
+      bundle_scratch_.resize(ctx_.bundle_layout);
+    } else {
+      bundle_scratch_.clear();
+    }
+    builder_->build(dev, dev_in, bundle_scratch_);
+    expand_bundled_histogram(dev, *ctx_.bundling, ctx_.bundle_layout,
+                             ctx_.layout, dev_in.features, bundle_scratch_,
+                             dev_in.node_totals, dev_in.node_count, dst);
+  };
 
   if (group_.size() == 1 || cfg.multi_gpu == MultiGpuMode::kFeatureParallel) {
-    // Feature-parallel: each device accumulates its own feature columns into
-    // disjoint slots of the shared histogram.
+    // Feature-parallel: each device accumulates its own columns into
+    // disjoint slots of the shared histogram (bundle-aligned partitioning
+    // keeps the expanded slots disjoint too).
     for (int i = 0; i < group_.size(); ++i) {
-      const auto& feats = grow_device_features_[static_cast<std::size_t>(i)];
-      if (feats.empty()) continue;
+      const auto& cols = (bundled ? grow_device_bundles_
+                                  : grow_device_features_)[static_cast<std::size_t>(i)];
+      if (cols.empty()) continue;
       // Out-of-core: page this device's columns (restricted to the node's
       // rows — GOSS-sampled nodes touch fewer tiles) before the build reads
       // them.
-      stage_blocks(i, feats, node_rows_);
+      if (!bundled) stage_blocks(i, cols, in.node_rows);
       HistBuildInput dev_in = in;
-      dev_in.features = feats;
-      builder_->build(group_.device(i), dev_in, out);
+      dev_in.features = cols;
+      build(group_.device(i), dev_in, out);
     }
     return;
   }
@@ -247,11 +290,13 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
   // accumulation order ("functional canonical, cost modeled"). That split is
   // what makes the trained model bitwise-identical to a 1-device run despite
   // float non-associativity in the partial merge.
+  const auto& cols = bundled ? grow_bundles_ : grow_features_;
   const bool voting = cfg.multi_gpu == MultiGpuMode::kVotingParallel;
   if (voting) vote_tally_.assign(ctx_.bins->n_cols(), 0u);
   const int k = group_.size();
+  const int d = ctx_.layout.n_outputs();
   std::vector<std::vector<std::uint32_t>> dev_rows(static_cast<std::size_t>(k));
-  for (std::uint32_t r : node_rows_) {
+  for (std::uint32_t r : in.node_rows) {
     // Row ownership by original id range (live bounds: zero-width for lost).
     const auto it = std::upper_bound(device_row_bounds_.begin(),
                                      device_row_bounds_.end(), r);
@@ -260,25 +305,25 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
   }
   for (int i = 0; i < k; ++i) {
     if (group_.is_lost(i)) continue;
+    const auto& rows = dev_rows[static_cast<std::size_t>(i)];
     // Out-of-core: each device pages every feature column, but only the
     // tiles covering its own row partition.
-    stage_blocks(i, grow_features_, dev_rows[static_cast<std::size_t>(i)]);
+    if (!bundled) stage_blocks(i, grow_features_, rows);
     HistBuildInput dev_in = in;
-    dev_in.features = grow_features_;
-    dev_in.node_rows = dev_rows[static_cast<std::size_t>(i)];
-    dev_in.node_count = static_cast<std::uint32_t>(dev_rows[static_cast<std::size_t>(i)].size());
+    dev_in.features = cols;
+    dev_in.node_rows = rows;
+    dev_in.node_count = static_cast<std::uint32_t>(rows.size());
     // Per-device totals for this device's row subset (needed by the zero-bin
     // reconstruction; the per-device reconstructions sum to the global one).
-    std::vector<sim::GradPair> dev_totals(static_cast<std::size_t>(ctx_.layout.n_outputs()));
-    reduce_gradients(group_.device(i), g, h, dev_in.node_rows,
-                     ctx_.layout.n_outputs(), dev_totals);
+    std::vector<sim::GradPair> dev_totals(static_cast<std::size_t>(d));
+    reduce_gradients(group_.device(i), g, h, rows, d, dev_totals);
     dev_in.node_totals = dev_totals;
     if (part_scratch_.sums.size() != ctx_.layout.size()) {
       part_scratch_.resize(ctx_.layout);
     } else {
       part_scratch_.clear();
     }
-    builder_->build(group_.device(i), dev_in, part_scratch_);
+    build(group_.device(i), dev_in, part_scratch_);
     if (voting) {
       accumulate_local_votes(group_.device(i), part_scratch_, dev_totals,
                              dev_in.node_count);
@@ -289,106 +334,8 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
   // the group's books and the profiler).
   GBMO_CHECK(ghost_ != nullptr) << "row-partitioned build without a ghost";
   HistBuildInput ghost_in = in;
-  ghost_in.features = grow_features_;
-  builder_->build(*ghost_, ghost_in, out);
-  charge_histogram_exchange(node, out);
-}
-
-void TreeGrower::build_node_histogram_bundled(const ActiveNode& node,
-                                              NodeHistogram& out,
-                                              std::span<const float> g,
-                                              std::span<const float> h) {
-  const auto& cfg = ctx_.config;
-  HistBuildInput in;
-  in.bins = ctx_.bundled_bins;
-  in.g = g;
-  in.h = h;
-  in.layout = &ctx_.bundle_layout;
-  // The bundled matrix is a plain dense column-major array; warp packing and
-  // CSC indirection describe the original storage, not this one.
-  in.packed = false;
-  // Bundled bin 0 (zero_bin of every bundle) is the shared all-default bin:
-  // skipping it is exactly the §3.2 sparsity optimization, and the per-member
-  // zero bins are reconstructed from the node totals during expansion.
-  in.sparsity_aware = true;
-  in.csc_indirection = false;
-  in.node_totals = node.totals;
-  in.node_count = node.count();
-  in.node_rows = node_rows_;
-
-  if (bundle_scratch_.sums.size() != ctx_.bundle_layout.size()) {
-    bundle_scratch_.resize(ctx_.bundle_layout);
-  }
-
-  if (group_.size() == 1 || cfg.multi_gpu == MultiGpuMode::kFeatureParallel) {
-    // Feature-parallel: each device accumulates its bundle columns into
-    // disjoint slots of the shared bundled scratch, then expands them into
-    // the original-layout slots it owns (bundle-aligned partitioning
-    // guarantees those are disjoint too).
-    bundle_scratch_.clear();
-    for (int i = 0; i < group_.size(); ++i) {
-      const auto& bundles = grow_device_bundles_[static_cast<std::size_t>(i)];
-      if (bundles.empty()) continue;
-      HistBuildInput dev_in = in;
-      dev_in.features = bundles;
-      builder_->build(group_.device(i), dev_in, bundle_scratch_);
-      expand_bundled_histogram(group_.device(i), *ctx_.bundling,
-                               ctx_.bundle_layout, ctx_.layout, bundles,
-                               bundle_scratch_, node.totals, node.count(), out);
-    }
-    return;
-  }
-
-  // Row-partitioned modes: every live device builds a bundled partial from
-  // its own rows and expands it locally (per-device totals drive the
-  // zero-bin reconstruction) — cost and votes only — while the ghost device
-  // repeats the exact single-device bundled build + expansion to produce the
-  // functional histogram. See build_node_histogram for the doctrine.
-  const bool voting = cfg.multi_gpu == MultiGpuMode::kVotingParallel;
-  if (voting) vote_tally_.assign(ctx_.bins->n_cols(), 0u);
-  const int k = group_.size();
-  const int d = ctx_.layout.n_outputs();
-  std::vector<std::vector<std::uint32_t>> dev_rows(static_cast<std::size_t>(k));
-  for (std::uint32_t r : node_rows_) {
-    const auto it = std::upper_bound(device_row_bounds_.begin(),
-                                     device_row_bounds_.end(), r);
-    const int owner = static_cast<int>(it - device_row_bounds_.begin()) - 1;
-    dev_rows[static_cast<std::size_t>(owner)].push_back(r);
-  }
-  for (int i = 0; i < k; ++i) {
-    if (group_.is_lost(i)) continue;
-    bundle_scratch_.clear();
-    HistBuildInput dev_in = in;
-    dev_in.features = grow_bundles_;
-    dev_in.node_rows = dev_rows[static_cast<std::size_t>(i)];
-    dev_in.node_count =
-        static_cast<std::uint32_t>(dev_rows[static_cast<std::size_t>(i)].size());
-    std::vector<sim::GradPair> dev_totals(static_cast<std::size_t>(d));
-    reduce_gradients(group_.device(i), g, h, dev_in.node_rows, d, dev_totals);
-    dev_in.node_totals = dev_totals;
-    builder_->build(group_.device(i), dev_in, bundle_scratch_);
-    if (part_scratch_.sums.size() != ctx_.layout.size()) {
-      part_scratch_.resize(ctx_.layout);
-    } else {
-      part_scratch_.clear();
-    }
-    expand_bundled_histogram(group_.device(i), *ctx_.bundling,
-                             ctx_.bundle_layout, ctx_.layout, grow_bundles_,
-                             bundle_scratch_, dev_totals, dev_in.node_count,
-                             part_scratch_);
-    if (voting) {
-      accumulate_local_votes(group_.device(i), part_scratch_, dev_totals,
-                             dev_in.node_count);
-    }
-  }
-  GBMO_CHECK(ghost_ != nullptr) << "row-partitioned build without a ghost";
-  bundle_scratch_.clear();
-  HistBuildInput ghost_in = in;
-  ghost_in.features = grow_bundles_;
-  builder_->build(*ghost_, ghost_in, bundle_scratch_);
-  expand_bundled_histogram(*ghost_, *ctx_.bundling, ctx_.bundle_layout,
-                           ctx_.layout, grow_bundles_, bundle_scratch_,
-                           node.totals, node.count(), out);
+  ghost_in.features = cols;
+  build(*ghost_, ghost_in, out);
   charge_histogram_exchange(node, out);
 }
 
@@ -449,8 +396,7 @@ float local_feature_gain(const HistogramLayout& layout,
 
 int TreeGrower::best_local_feature(const NodeHistogram& hist,
                                    std::span<const sim::GradPair> totals,
-                                   std::uint32_t count,
-                                   float* out_gain) const {
+                                   std::uint32_t count) const {
   // Ascending feature scan with strict `>`: implicit lowest-feature-id
   // tie-break, matching find_best_splits and the BestSplitMsg election rule.
   int best_f = -1;
@@ -463,7 +409,6 @@ int TreeGrower::best_local_feature(const NodeHistogram& hist,
       best_f = static_cast<int>(f);
     }
   }
-  if (out_gain != nullptr && best_f >= 0) *out_gain = best_gain;
   return best_f;
 }
 
@@ -560,8 +505,7 @@ void TreeGrower::charge_histogram_exchange(const ActiveNode& node,
   // functional model always splits on the canonical winner — this simulator
   // quantifies the approximation a real voting run would have made instead
   // of silently training a different model.)
-  const int canonical = best_local_feature(out, node.totals, node.count(),
-                                           nullptr);
+  const int canonical = best_local_feature(out, node.totals, node.count());
   if (canonical >= 0 && !elected[static_cast<std::size_t>(canonical)]) {
     ++vote_misses_;
   }
@@ -576,6 +520,7 @@ SplitResult TreeGrower::select_split(const ActiveNode& node,
 std::vector<SplitResult> TreeGrower::select_splits(
     std::span<const NodeSplitInput> inputs) {
   const auto& cfg = ctx_.config;
+  group_.set_phase("split");
   if (group_.size() == 1) {
     return find_best_splits(group_.device(0), ctx_.layout, inputs,
                             grow_features_, cfg, split_scratch_);
@@ -672,7 +617,8 @@ void TreeGrower::flush_leaf_charges() {
   group_.set_phase("leaf");
   pending_leaf_stats_.blocks = std::max<std::uint64_t>(
       1, pending_leaf_stats_.gmem_coalesced_bytes / (256 * sizeof(std::int32_t)));
-  sim::charge_kernel(charge_device(), "finalize_leaves", pending_leaf_stats_);
+  sim::charge_kernel(group_.device(lead_device()), "finalize_leaves",
+                     pending_leaf_stats_);
   pending_leaf_stats_ = sim::KernelStats{};
   has_pending_leaf_charges_ = false;
 }
@@ -693,9 +639,7 @@ void TreeGrower::subtract_node_histograms(const NodeHistogram& parent,
     return;
   }
   for (int dev = 0; dev < group_.size(); ++dev) {
-    const auto& feats = group_.size() == 1
-                            ? grow_features_
-                            : grow_device_features_[static_cast<std::size_t>(dev)];
+    const auto& feats = grow_device_features_[static_cast<std::size_t>(dev)];
     if (!feats.empty() && !group_.is_lost(dev)) {
       subtract_histograms(group_.device(dev), ctx_.layout, feats, parent,
                           smaller, larger);
@@ -725,44 +669,91 @@ void TreeGrower::reduce_node_totals(std::span<const float> g,
   }
 }
 
-std::uint32_t TreeGrower::partition_node(const ActiveNode& a,
-                                         const SplitResult& s,
-                                         std::vector<std::uint32_t>& row_order) {
+bool TreeGrower::splittable(const ActiveNode& node, int depth) const {
+  return depth < ctx_.config.max_depth &&
+         node.count() >=
+             2 * static_cast<std::uint32_t>(ctx_.config.min_instances_per_node);
+}
+
+TreeGrower::Children TreeGrower::expand_node(
+    const ActiveNode& a, const SplitResult& s, int child_depth,
+    bool charge_now, std::span<const float> g, std::span<const float> h,
+    std::vector<std::uint32_t>& row_order, Tree& tree) {
   // Split features are always original feature ids (EFB never leaks bundles
   // past histogram construction), so the partition reads the original bins.
-  // Out-of-core: the partition kernel reads the split feature's bins for the
-  // node's rows on the charging device.
-  {
-    const int fa = group_.first_alive();
-    stage_block(fa < 0 ? 0 : fa, static_cast<std::uint32_t>(s.feature),
-                std::span<const std::uint32_t>(row_order).subspan(
-                    a.begin, a.count()));
-  }
+  // Out-of-core: first page the split feature's tiles for this node's rows.
+  group_.set_phase("partition");
+  stage_block(lead_device(), static_cast<std::uint32_t>(s.feature),
+              std::span<const std::uint32_t>(row_order).subspan(a.begin,
+                                                                a.count()));
   const auto col = ctx_.bins->col(static_cast<std::size_t>(s.feature));
   const auto split_bin = static_cast<std::uint8_t>(s.bin);
   const auto begin_it = row_order.begin() + a.begin;
-  const auto end_it = row_order.begin() + a.end;
   const auto mid_it = std::stable_partition(
-      begin_it, end_it, [&](std::uint32_t r) { return col[r] <= split_bin; });
+      begin_it, row_order.begin() + a.end,
+      [&](std::uint32_t r) { return col[r] <= split_bin; });
   const std::uint32_t mid =
       a.begin + static_cast<std::uint32_t>(mid_it - begin_it);
   GBMO_CHECK(mid - a.begin == s.n_left)
       << "partition count mismatch on feature " << s.feature;
 
-  sim::KernelStats st;
-  st.gmem_random_accesses = a.count();
-  st.gmem_coalesced_bytes =
+  // Partition kernel: read the split feature's bins, rewrite the row range.
+  Children c;
+  c.partition.gmem_random_accesses = a.count();
+  c.partition.gmem_coalesced_bytes =
       static_cast<std::uint64_t>(a.count()) * 2 * sizeof(std::uint32_t);
-  st.blocks = std::max<std::uint64_t>(1, a.count() / 256);
-  sim::charge_kernel(charge_device(), "partition_rows", st);
+  if (charge_now) charge_partition(c.partition);
+
+  const auto [left_id, right_id] = tree.split_node(
+      a.tree_node, s.feature, s.bin,
+      ctx_.cuts->threshold_for(static_cast<std::size_t>(s.feature), s.bin),
+      s.gain, s.n_left, s.n_right, child_depth);
+  const bool left_smaller = s.n_left <= s.n_right;
+  ActiveNode& small = c.smaller;
+  ActiveNode& large = c.larger;
+  small.tree_node = left_smaller ? left_id : right_id;
+  small.begin = left_smaller ? a.begin : mid;
+  small.end = left_smaller ? mid : a.end;
+  large.tree_node = left_smaller ? right_id : left_id;
+  large.begin = left_smaller ? mid : a.begin;
+  large.end = left_smaller ? a.end : mid;
+  small.parent = large.parent = a.tree_node;
+  small.sibling = large.tree_node;
+  large.sibling = small.tree_node;
+  small.is_smaller = true;
+  large.is_smaller = false;
+
+  // Child totals: the smaller child is reduced directly, the larger one is
+  // the parent minus the smaller (one cheap vector op). They feed the
+  // children's zero-bin reconstruction, so they are charged as histogram
+  // work.
+  const int d = ctx_.layout.n_outputs();
+  group_.set_phase("histogram");
+  small.totals.assign(static_cast<std::size_t>(d), sim::GradPair{});
+  reduce_node_totals(g, h,
+                     std::span<const std::uint32_t>(row_order).subspan(
+                         small.begin, small.count()),
+                     small.totals);
+  large.totals.resize(static_cast<std::size_t>(d));
+  for (std::size_t k = 0; k < large.totals.size(); ++k) {
+    large.totals[k] = sim::GradPair{a.totals[k].g - small.totals[k].g,
+                                    a.totals[k].h - small.totals[k].h};
+  }
+  return c;
+}
+
+void TreeGrower::charge_partition(sim::KernelStats st) {
+  const std::uint64_t rows = st.gmem_random_accesses;
+  group_.set_phase("partition");
+  st.blocks = std::max<std::uint64_t>(1, rows / 256);
+  sim::charge_kernel(group_.device(lead_device()), "partition_rows", st);
   if (group_.size() > 1 &&
       ctx_.config.multi_gpu == MultiGpuMode::kFeatureParallel) {
-    // The split owner broadcasts this node's left/right bitmap. Leaf-wise
-    // pays this per split (vs once per level) — the extra synchronization
-    // the growth-policy benchmark measures.
-    group_.charge_broadcast(a.count() / 8 + 1, 0);
+    // The split owners broadcast the left/right bitmaps: once per level
+    // (level-wise) or once per split (leaf-wise) — the extra
+    // synchronization the growth-policy benchmark measures.
+    group_.charge_broadcast(rows / 8 + 1, 0);
   }
-  return mid;
 }
 
 GrownTree TreeGrower::grow(std::span<const float> g, std::span<const float> h,
@@ -774,45 +765,40 @@ GrownTree TreeGrower::grow(std::span<const float> g, std::span<const float> h,
   GBMO_CHECK(g.size() == n * static_cast<std::size_t>(d));
   GBMO_CHECK(h.size() == g.size());
 
-  // Resolve this tree's feature view: full set, or the sampled subset
+  // Resolve this tree's column view: every feature, or the sampled subset
   // intersected with each device's column partition. With EFB, the bundle
   // view follows: a bundle participates when any member is sampled (its
   // unsampled members get expanded too, but split search never sees them).
+  const std::size_t m = ctx_.bins->n_cols();
+  std::vector<bool> keep(m, sampled_features.empty());
+  for (std::uint32_t f : sampled_features) keep[f] = true;
   if (sampled_features.empty()) {
-    grow_features_ = all_features_;
-    grow_device_features_ = device_features_;
-    if (ctx_.bundling != nullptr) {
-      grow_bundles_.resize(ctx_.bundling->bundles.size());
-      std::iota(grow_bundles_.begin(), grow_bundles_.end(), 0u);
-      grow_device_bundles_ = device_bundles_;
-    }
+    grow_features_.resize(m);
+    std::iota(grow_features_.begin(), grow_features_.end(), 0u);
   } else {
     grow_features_.assign(sampled_features.begin(), sampled_features.end());
-    std::vector<bool> keep(ctx_.bins->n_cols(), false);
-    for (std::uint32_t f : sampled_features) keep[f] = true;
-    grow_device_features_.assign(device_features_.size(), {});
-    for (std::size_t dvc = 0; dvc < device_features_.size(); ++dvc) {
-      for (std::uint32_t f : device_features_[dvc]) {
-        if (keep[f]) grow_device_features_[dvc].push_back(f);
-      }
+  }
+  grow_device_features_.assign(device_features_.size(), {});
+  for (std::size_t dev = 0; dev < device_features_.size(); ++dev) {
+    for (std::uint32_t f : device_features_[dev]) {
+      if (keep[f]) grow_device_features_[dev].push_back(f);
     }
-    if (ctx_.bundling != nullptr) {
-      auto bundle_sampled = [&](std::uint32_t bi) {
-        for (std::uint32_t f : ctx_.bundling->bundles[bi].features) {
-          if (keep[f]) return true;
-        }
-        return false;
-      };
-      grow_bundles_.clear();
-      for (std::uint32_t bi = 0;
-           bi < static_cast<std::uint32_t>(ctx_.bundling->bundles.size()); ++bi) {
-        if (bundle_sampled(bi)) grow_bundles_.push_back(bi);
-      }
-      grow_device_bundles_.assign(device_bundles_.size(), {});
-      for (std::size_t dvc = 0; dvc < device_bundles_.size(); ++dvc) {
-        for (std::uint32_t bi : device_bundles_[dvc]) {
-          if (bundle_sampled(bi)) grow_device_bundles_[dvc].push_back(bi);
-        }
+  }
+  if (ctx_.bundling != nullptr) {
+    const auto& bundles = ctx_.bundling->bundles;
+    auto sampled = [&](std::uint32_t bi) {
+      return std::any_of(bundles[bi].features.begin(),
+                         bundles[bi].features.end(),
+                         [&](std::uint32_t f) { return keep[f]; });
+    };
+    grow_bundles_.clear();
+    for (std::uint32_t bi = 0; bi < bundles.size(); ++bi) {
+      if (sampled(bi)) grow_bundles_.push_back(bi);
+    }
+    grow_device_bundles_.assign(device_bundles_.size(), {});
+    for (std::size_t dev = 0; dev < device_bundles_.size(); ++dev) {
+      for (std::uint32_t bi : device_bundles_[dev]) {
+        if (sampled(bi)) grow_device_bundles_[dev].push_back(bi);
       }
     }
   }
@@ -854,10 +840,9 @@ GrownTree TreeGrower::grow(std::span<const float> g, std::span<const float> h,
   }
 
   const bool bundled = ctx_.bundling != nullptr;
-  if (bundled) note_alloc_all(ctx_.bundle_layout.byte_size());
+  if (bundled) note_alloc_all(group_, ctx_.bundle_layout.byte_size());
 
-  if (cfg.max_depth > 0 &&
-      root.count() >= 2 * static_cast<std::uint32_t>(cfg.min_instances_per_node)) {
+  if (splittable(root, 0)) {
     if (cfg.growth == GrowthPolicy::kLeafWise) {
       grow_leaf_wise(g, h, row_order, tree, out, std::move(root));
     } else {
@@ -869,7 +854,7 @@ GrownTree TreeGrower::grow(std::span<const float> g, std::span<const float> h,
   group_.set_trace_level(-1);
 
   flush_leaf_charges();
-  if (bundled) note_free_all(ctx_.bundle_layout.byte_size());
+  if (bundled) note_free_all(group_, ctx_.bundle_layout.byte_size());
   return out;
 }
 
@@ -879,28 +864,24 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
                                  Tree& tree, GrownTree& out,
                                  ActiveNode&& root) {
   const std::size_t n = ctx_.bins->n_rows();
-  const int d = ctx_.layout.n_outputs();
   const auto& cfg = ctx_.config;
+  HistPool pool(group_, ctx_);
 
   std::vector<ActiveNode> active;
   active.push_back(std::move(root));
-
+  // Histograms of the previous and the current level, while the pool holds
+  // them (the previous level's feed this level's subtractions).
   std::unordered_map<std::int32_t, NodeHistogram> prev_hists, cur_hists;
-  NodeHistogram scratch_hist;
-  std::size_t prev_bytes = 0;
 
   for (int level = 0; level < cfg.max_depth && !active.empty(); ++level) {
     sim::TraceSpan level_span(group_, "level " + std::to_string(level));
     group_.set_trace_level(level);
-    const std::size_t level_bytes = active.size() * ctx_.layout.byte_size();
-    const bool subtract_mode =
-        cfg.sibling_subtraction &&
-        level_bytes + prev_bytes <= ctx_.hist_pool_budget;
-
     std::vector<SplitResult> decisions(active.size());
 
+    // Budget rule: the whole level's histograms at once, on top of the
+    // previous level's, or none of them.
+    const bool subtract_mode = pool.reserve(active.size());
     if (subtract_mode) {
-      note_alloc_all(level_bytes);
       group_.set_phase("histogram");
 
       // Phase 1: allocate the level's histograms, then classify each node —
@@ -935,60 +916,43 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
           inputs[s] = {&cur_hists.at(a.tree_node), a.totals, a.count()};
         }
         for (int dev = 0; dev < group_.size(); ++dev) {
-          const auto& feats = group_.size() == 1
-                                  ? grow_features_
-                                  : grow_device_features_[static_cast<std::size_t>(dev)];
+          const auto& feats = grow_device_features_[static_cast<std::size_t>(dev)];
           if (feats.empty()) continue;
           build_level_histograms_csc(group_.device(dev), *ctx_.csc, node_slot,
                                      inputs, g, h, ctx_.layout, feats);
         }
       } else {
         for (const std::size_t i : direct_nodes) {
-          ActiveNode& a = active[i];
-          node_rows_ = std::span<const std::uint32_t>(row_order).subspan(
-              a.begin, a.count());
-          build_node_histogram(a, cur_hists.at(a.tree_node), g, h);
+          build_node_histogram(active[i], row_order,
+                               cur_hists.at(active[i].tree_node), g, h);
         }
       }
 
       // Phase 3: derived nodes by subtraction (their smaller siblings are
       // direct nodes, built above).
       for (const std::size_t i : derived_nodes) {
-        ActiveNode& a = active[i];
+        const ActiveNode& a = active[i];
         subtract_node_histograms(prev_hists.at(a.parent),
                                  cur_hists.at(a.sibling),
                                  cur_hists.at(a.tree_node));
       }
-    } else {
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        ActiveNode& a = active[i];
-        node_rows_ = std::span<const std::uint32_t>(row_order).subspan(
-            a.begin, a.count());
-        group_.set_phase("histogram");
-        if (scratch_hist.sums.size() != ctx_.layout.size()) {
-          scratch_hist.resize(ctx_.layout);
-          note_alloc_all(ctx_.layout.byte_size());
-        } else {
-          scratch_hist.clear();
-        }
-        build_node_histogram(a, scratch_hist, g, h);
-        // The scratch buffer is reused per node, so selection cannot be
-        // deferred — this is the memory-bounded fallback path.
-        group_.set_phase("split");
-        decisions[i] = select_split(a, scratch_hist);
-      }
-    }
 
-    if (subtract_mode) {
       // All of the level's histograms are alive: one batched scan + gain +
       // segmented-reduction kernel set selects every node's split (§3.1.3).
-      group_.set_phase("split");
       std::vector<NodeSplitInput> inputs(active.size());
       for (std::size_t i = 0; i < active.size(); ++i) {
         inputs[i] = {&cur_hists.at(active[i].tree_node), active[i].totals,
                      active[i].count()};
       }
       decisions = select_splits(inputs);
+    } else {
+      // Memory-bounded fallback: one reused scratch buffer, so selection
+      // cannot be deferred past the next node's build.
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        NodeHistogram& hist = pool.scratch(0);
+        build_node_histogram(active[i], row_order, hist, g, h);
+        decisions[i] = select_split(active[i], hist);
+      }
     }
 
     if (cfg.max_leaves > 0) {
@@ -1019,198 +983,70 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
       }
     }
 
-    note_free_all(prev_bytes);
-    if (subtract_mode) {
-      prev_hists = std::move(cur_hists);
-      cur_hists.clear();
-      prev_bytes = level_bytes;
-    } else {
-      prev_hists.clear();
-      prev_bytes = 0;
-    }
+    pool.release(prev_hists.size());
+    prev_hists.clear();
+    if (subtract_mode) std::swap(prev_hists, cur_hists);
 
-    // Apply splits: partition rows, create children, route them. The
-    // partition kernel covers the whole level in one launch; its stats are
-    // accumulated across nodes and charged once.
-    sim::KernelStats level_partition_stats;
-    std::size_t level_partition_rows = 0;
+    // Apply splits: expand every node, route its children. The partition
+    // kernel covers the whole level in one launch, charged after the
+    // level's child-total reductions.
+    sim::KernelStats level_partition;
     std::vector<ActiveNode> next;
     for (std::size_t i = 0; i < active.size(); ++i) {
-      ActiveNode& a = active[i];
-      const SplitResult& s = decisions[i];
-      if (!s.valid()) {
-        compute_leaf(tree, a, row_order, out.leaf_of_row);
+      if (!decisions[i].valid()) {
+        compute_leaf(tree, active[i], row_order, out.leaf_of_row);
         continue;
       }
-
-      group_.set_phase("partition");
-      {
-        // Out-of-core: page the split feature's tiles for this node's rows.
-        const int fa = group_.first_alive();
-        stage_block(fa < 0 ? 0 : fa, static_cast<std::uint32_t>(s.feature),
-                    std::span<const std::uint32_t>(row_order).subspan(
-                        a.begin, a.count()));
-      }
-      const auto col = ctx_.bins->col(static_cast<std::size_t>(s.feature));
-      const auto split_bin = static_cast<std::uint8_t>(s.bin);
-      const auto begin_it = row_order.begin() + a.begin;
-      const auto end_it = row_order.begin() + a.end;
-      const auto mid_it = std::stable_partition(
-          begin_it, end_it, [&](std::uint32_t r) { return col[r] <= split_bin; });
-      const std::uint32_t mid =
-          a.begin + static_cast<std::uint32_t>(mid_it - begin_it);
-      GBMO_CHECK(mid - a.begin == s.n_left)
-          << "partition count mismatch on feature " << s.feature;
-
-      // Partition: read split-feature bins + rewrite the row range
-      // (accumulated into the level-wide kernel charge below).
-      level_partition_stats.gmem_random_accesses += a.count();
-      level_partition_stats.gmem_coalesced_bytes +=
-          static_cast<std::uint64_t>(a.count()) * 2 * sizeof(std::uint32_t);
-      level_partition_rows += a.count();
-
-      const auto [left_id, right_id] = tree.split_node(
-          a.tree_node, s.feature, s.bin,
-          ctx_.cuts->threshold_for(static_cast<std::size_t>(s.feature), s.bin),
-          s.gain, s.n_left, s.n_right, level + 1);
-
-      // Child totals: the smaller child is reduced directly, the larger one
-      // is the parent minus the smaller (one cheap vector op).
-      const bool left_smaller = s.n_left <= s.n_right;
-      ActiveNode small_child, large_child;
-      small_child.tree_node = left_smaller ? left_id : right_id;
-      small_child.begin = left_smaller ? a.begin : mid;
-      small_child.end = left_smaller ? mid : a.end;
-      large_child.tree_node = left_smaller ? right_id : left_id;
-      large_child.begin = left_smaller ? mid : a.begin;
-      large_child.end = left_smaller ? a.end : mid;
-
-      group_.set_phase("histogram");  // node-total reductions feed the
-                                      // next level's zero-bin reconstruction
-      small_child.totals.assign(static_cast<std::size_t>(d), sim::GradPair{});
-      const auto small_rows = std::span<const std::uint32_t>(row_order).subspan(
-          small_child.begin, small_child.count());
-      reduce_node_totals(g, h, small_rows, small_child.totals);
-      large_child.totals.resize(static_cast<std::size_t>(d));
-      for (int k = 0; k < d; ++k) {
-        large_child.totals[static_cast<std::size_t>(k)] = sim::GradPair{
-            a.totals[static_cast<std::size_t>(k)].g -
-                small_child.totals[static_cast<std::size_t>(k)].g,
-            a.totals[static_cast<std::size_t>(k)].h -
-                small_child.totals[static_cast<std::size_t>(k)].h};
-      }
-
-      small_child.parent = a.tree_node;
-      large_child.parent = a.tree_node;
-      small_child.sibling = large_child.tree_node;
-      large_child.sibling = small_child.tree_node;
-      small_child.is_smaller = true;
-      large_child.is_smaller = false;
-
-      auto route = [&](ActiveNode&& c) {
-        if (level + 1 < cfg.max_depth &&
-            c.count() >= 2 * static_cast<std::uint32_t>(cfg.min_instances_per_node)) {
-          next.push_back(std::move(c));
+      Children c = expand_node(active[i], decisions[i], level + 1,
+                               /*charge_now=*/false, g, h, row_order, tree);
+      level_partition += c.partition;
+      // Smaller first: enables subtraction.
+      for (ActiveNode* child : {&c.smaller, &c.larger}) {
+        if (splittable(*child, level + 1)) {
+          next.push_back(std::move(*child));
         } else {
-          compute_leaf(tree, c, row_order, out.leaf_of_row);
+          compute_leaf(tree, *child, row_order, out.leaf_of_row);
         }
-      };
-      route(std::move(small_child));  // smaller first: enables subtraction
-      route(std::move(large_child));
-    }
-
-    if (level_partition_rows > 0) {
-      group_.set_phase("partition");
-      level_partition_stats.blocks =
-          std::max<std::uint64_t>(1, level_partition_rows / 256);
-      sim::charge_kernel(charge_device(), "partition_rows",
-                         level_partition_stats);
-      if (group_.size() > 1 && cfg.multi_gpu == MultiGpuMode::kFeatureParallel) {
-        // Owners broadcast the level's left/right bitmaps in one exchange.
-        group_.charge_broadcast(level_partition_rows / 8 + 1, 0);
       }
+    }
+    if (level_partition.gmem_random_accesses > 0) {
+      charge_partition(level_partition);
     }
     active = std::move(next);
   }
-
-  // Defensive: every remaining active node becomes a leaf (cannot normally
-  // happen — routing above finalizes depth-limited children).
-  for (auto& a : active) compute_leaf(tree, a, row_order, out.leaf_of_row);
-
-  note_free_all(prev_bytes);
-  if (scratch_hist.sums.size() == ctx_.layout.size()) {
-    note_free_all(ctx_.layout.byte_size());
-  }
+  pool.release_all();
 }
 
 void TreeGrower::grow_leaf_wise(std::span<const float> g,
                                 std::span<const float> h,
                                 std::vector<std::uint32_t>& row_order,
                                 Tree& tree, GrownTree& out, ActiveNode&& root) {
-  const int d = ctx_.layout.n_outputs();
   const auto& cfg = ctx_.config;
-  const std::size_t hist_bytes = ctx_.layout.byte_size();
-
-  // Frontier histograms count against the pool budget; when it is exhausted
-  // the two reusable scratch buffers take over (children lose sibling
-  // subtraction for the nodes whose parents could not be kept — leaf-wise's
-  // face of the level-wise one-node-at-a-time fallback).
-  std::size_t live_hist_bytes = 0;
-  NodeHistogram scratch_a, scratch_b;
-
-  auto acquire_hist = [&]() -> std::unique_ptr<NodeHistogram> {
-    if (!cfg.sibling_subtraction ||
-        live_hist_bytes + hist_bytes > ctx_.hist_pool_budget) {
-      return nullptr;
-    }
-    auto hp = std::make_unique<NodeHistogram>();
-    hp->resize(ctx_.layout);
-    note_alloc_all(hist_bytes);
-    live_hist_bytes += hist_bytes;
-    return hp;
-  };
-  auto get_scratch = [&](NodeHistogram& s) -> NodeHistogram& {
-    if (s.sums.size() != ctx_.layout.size()) {
-      s.resize(ctx_.layout);
-      note_alloc_all(hist_bytes);
-    } else {
-      s.clear();
-    }
-    return s;
-  };
-  auto drop_hist = [&](LeafCandidate& c) {
-    if (c.hist) {
-      c.hist.reset();
-      note_free_all(hist_bytes);
-      live_hist_bytes -= hist_bytes;
-    }
-  };
-  auto build_into = [&](const ActiveNode& node, NodeHistogram& hist) {
-    node_rows_ = std::span<const std::uint32_t>(row_order).subspan(
-        node.begin, node.count());
-    group_.set_phase("histogram");
-    build_node_histogram(node, hist, g, h);
-  };
-
+  // Budget rule: one histogram at a time, for as long as the pool has room.
+  // Without one, a node builds into scratch and its children lose sibling
+  // subtraction — leaf-wise's face of the level-wise fallback.
+  HistPool pool(group_, ctx_);
   std::vector<LeafCandidate> frontier;
   std::size_t n_leaves = 1;  // the root counts until it splits
+
+  // A candidate with a valid split joins the frontier; any other is a leaf.
+  auto route = [&](LeafCandidate&& c) {
+    if (c.split.valid()) {
+      frontier.push_back(std::move(c));
+    } else {
+      pool.drop(c.hist);
+      compute_leaf(tree, c.node, row_order, out.leaf_of_row);
+    }
+  };
 
   {
     LeafCandidate c;
     c.node = std::move(root);
-    c.depth = 0;
-    auto hp = acquire_hist();
-    NodeHistogram& hist = hp ? *hp : get_scratch(scratch_a);
-    build_into(c.node, hist);
-    group_.set_phase("split");
+    c.hist = pool.acquire();
+    NodeHistogram& hist = c.hist ? *c.hist : pool.scratch(0);
+    build_node_histogram(c.node, row_order, hist, g, h);
     c.split = select_split(c.node, hist);
-    c.hist = std::move(hp);
-    if (c.split.valid()) {
-      frontier.push_back(std::move(c));
-    } else {
-      drop_hist(c);
-      compute_leaf(tree, c.node, row_order, out.leaf_of_row);
-    }
+    route(std::move(c));
   }
 
   while (!frontier.empty() &&
@@ -1233,137 +1069,71 @@ void TreeGrower::grow_leaf_wise(std::span<const float> g,
     frontier.erase(frontier.begin() +
                    static_cast<std::ptrdiff_t>(best));
 
-    ActiveNode& a = cand.node;
-    const SplitResult& s = cand.split;
     sim::TraceSpan split_span(group_, "leaf-split node " +
-                                          std::to_string(a.tree_node));
+                                          std::to_string(cand.node.tree_node));
     group_.set_trace_level(cand.depth);
-
-    group_.set_phase("partition");
-    const std::uint32_t mid = partition_node(a, s, row_order);
-
     const int cdepth = cand.depth + 1;
-    const auto [left_id, right_id] = tree.split_node(
-        a.tree_node, s.feature, s.bin,
-        ctx_.cuts->threshold_for(static_cast<std::size_t>(s.feature), s.bin),
-        s.gain, s.n_left, s.n_right, cdepth);
+    Children c = expand_node(cand.node, cand.split, cdepth,
+                             /*charge_now=*/true, g, h, row_order, tree);
     ++n_leaves;
 
-    const bool left_smaller = s.n_left <= s.n_right;
-    ActiveNode small_child, large_child;
-    small_child.tree_node = left_smaller ? left_id : right_id;
-    small_child.begin = left_smaller ? a.begin : mid;
-    small_child.end = left_smaller ? mid : a.end;
-    large_child.tree_node = left_smaller ? right_id : left_id;
-    large_child.begin = left_smaller ? mid : a.begin;
-    large_child.end = left_smaller ? a.end : mid;
-
-    group_.set_phase("histogram");
-    small_child.totals.assign(static_cast<std::size_t>(d), sim::GradPair{});
-    const auto small_rows = std::span<const std::uint32_t>(row_order).subspan(
-        small_child.begin, small_child.count());
-    reduce_node_totals(g, h, small_rows, small_child.totals);
-    large_child.totals.resize(static_cast<std::size_t>(d));
-    for (int k = 0; k < d; ++k) {
-      large_child.totals[static_cast<std::size_t>(k)] = sim::GradPair{
-          a.totals[static_cast<std::size_t>(k)].g -
-              small_child.totals[static_cast<std::size_t>(k)].g,
-          a.totals[static_cast<std::size_t>(k)].h -
-              small_child.totals[static_cast<std::size_t>(k)].h};
-    }
-    small_child.parent = a.tree_node;
-    large_child.parent = a.tree_node;
-    small_child.sibling = large_child.tree_node;
-    large_child.sibling = small_child.tree_node;
-    small_child.is_smaller = true;
-    large_child.is_smaller = false;
-
-    auto eligible = [&](const ActiveNode& c) {
-      return cdepth < cfg.max_depth &&
-             c.count() >=
-                 2 * static_cast<std::uint32_t>(cfg.min_instances_per_node);
-    };
-    const bool small_elig = eligible(small_child);
-    const bool large_elig = eligible(large_child);
-
     LeafCandidate sc, lc;
-    sc.node = std::move(small_child);
+    sc.node = std::move(c.smaller);
     sc.depth = cdepth;
-    lc.node = std::move(large_child);
+    lc.node = std::move(c.larger);
     lc.depth = cdepth;
+    const bool small_elig = splittable(sc.node, cdepth);
+    const bool large_elig = splittable(lc.node, cdepth);
 
-    std::unique_ptr<NodeHistogram> small_hp, large_hp;
     NodeHistogram* small_hist = nullptr;
     NodeHistogram* large_hist = nullptr;
-
     if (small_elig) {
-      small_hp = acquire_hist();
-      small_hist = small_hp ? small_hp.get() : &get_scratch(scratch_a);
-      build_into(sc.node, *small_hist);
+      sc.hist = pool.acquire();
+      small_hist = sc.hist ? sc.hist.get() : &pool.scratch(0);
+      build_node_histogram(sc.node, row_order, *small_hist, g, h);
     } else if (large_elig && cand.hist) {
-      // The smaller child's histogram is still worth building (into scratch:
-      // no candidate will keep it) — building the smaller side plus one
-      // subtraction beats streaming the larger side's rows.
-      small_hist = &get_scratch(scratch_a);
-      build_into(sc.node, *small_hist);
+      // Lone-child rule: the smaller child's histogram is still worth
+      // building (into scratch: no candidate will keep it) — building the
+      // smaller side plus one subtraction beats streaming the larger side.
+      small_hist = &pool.scratch(0);
+      build_node_histogram(sc.node, row_order, *small_hist, g, h);
     }
     if (large_elig) {
-      large_hp = acquire_hist();
-      large_hist = large_hp ? large_hp.get() : &get_scratch(scratch_b);
+      lc.hist = pool.acquire();
+      large_hist = lc.hist ? lc.hist.get() : &pool.scratch(1);
       if (cand.hist && small_hist) {
         subtract_node_histograms(*cand.hist, *small_hist, *large_hist);
       } else {
-        build_into(lc.node, *large_hist);
+        build_node_histogram(lc.node, row_order, *large_hist, g, h);
       }
     }
 
     // One batched scan/gain/reduction kernel set covers both children.
-    if (small_elig || large_elig) {
-      group_.set_phase("split");
-      std::vector<NodeSplitInput> inputs;
-      std::vector<LeafCandidate*> cands;
-      if (small_elig) {
-        inputs.push_back({small_hist, sc.node.totals, sc.node.count()});
-        cands.push_back(&sc);
-      }
-      if (large_elig) {
-        inputs.push_back({large_hist, lc.node.totals, lc.node.count()});
-        cands.push_back(&lc);
-      }
+    std::vector<NodeSplitInput> inputs;
+    std::vector<LeafCandidate*> kids;
+    if (small_elig) {
+      inputs.push_back({small_hist, sc.node.totals, sc.node.count()});
+      kids.push_back(&sc);
+    }
+    if (large_elig) {
+      inputs.push_back({large_hist, lc.node.totals, lc.node.count()});
+      kids.push_back(&lc);
+    }
+    if (!kids.empty()) {
       const auto results = select_splits(inputs);
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        cands[i]->split = results[i];
-      }
+      for (std::size_t i = 0; i < kids.size(); ++i) kids[i]->split = results[i];
     }
 
-    drop_hist(cand);  // the parent's histogram has served its subtraction
-
-    sc.hist = std::move(small_hp);
-    lc.hist = std::move(large_hp);
-    auto route_child = [&](LeafCandidate&& c) {
-      if (c.split.valid()) {
-        frontier.push_back(std::move(c));
-      } else {
-        drop_hist(c);
-        compute_leaf(tree, c.node, row_order, out.leaf_of_row);
-      }
-    };
-    route_child(std::move(sc));
-    route_child(std::move(lc));
+    pool.drop(cand.hist);  // the parent's histogram has served its subtraction
+    route(std::move(sc));
+    route(std::move(lc));
   }
 
   // Leaf budget reached (or no splittable leaves left): finalize the rest.
-  for (auto& c : frontier) {
-    drop_hist(c);
+  for (const auto& c : frontier) {
     compute_leaf(tree, c.node, row_order, out.leaf_of_row);
   }
-
-  if (scratch_a.sums.size() == ctx_.layout.size()) {
-    note_free_all(hist_bytes);
-  }
-  if (scratch_b.sums.size() == ctx_.layout.size()) {
-    note_free_all(hist_bytes);
-  }
+  pool.release_all();
 }
 
 }  // namespace gbmo::core

@@ -1,36 +1,35 @@
-// Tree construction on the simulated device group: level-wise (Algorithm 1)
-// and leaf-wise (LightGBM-style best-first) growth policies.
+// Tree construction on the simulated device group (the paper's Algorithm 1):
+// build or derive every node histogram, select splits in a batch, partition.
 //
-// Level-wise: per level, every splittable node gets a histogram (built by
-// the configured strategy, or derived by sibling subtraction: the larger
-// child equals the parent minus the smaller child), the best split is
-// selected (per-device feature subsets + best-split all-reduce in
-// feature-parallel mode), and the node's instance range is
-// stable-partitioned into its children.
+// One implementation serves each of those jobs:
+// - build_node_histogram is the only histogram-build path. It covers the
+//   plain bin matrix and the EFB-bundled one (data/bundling.h: bundled
+//   columns are accumulated, then expanded back to the per-feature layout,
+//   so split selection, subtraction and the Tree never see bundles), in
+//   feature-parallel and row-partitioned device modes.
+// - subtract_node_histograms derives the larger child as parent − smaller.
+// - expand_node is the node-expansion step: stable partition (count-checked),
+//   Tree::split_node, and the two children with their totals (smaller
+//   reduced, larger = parent − smaller).
+// - A histogram pool (grower.cpp) is the device-memory ledger for pooled and
+//   scratch node histograms under config.hist_budget_mb. When the pool is
+//   full the grower builds nodes in reusable scratch buffers, losing
+//   subtraction but bounding peak memory: the mechanism behind "avoids
+//   out-of-memory failures" in Figure 7.
+// - redistribute_over_alive holds the one column/row partition rule.
 //
-// Leaf-wise: a gain-ordered frontier of split candidates; the highest-gain
-// leaf splits first (deterministic tie-break on the lowest node id) until
-// the max_leaves budget or the frontier is exhausted. Children reuse the
-// same smaller-child-direct / larger-by-subtraction machinery; both
-// children's splits are selected in one batched kernel set per split.
-//
-// Histogram memory is pooled with a budget (config.hist_budget_mb): when a
-// level / frontier would exceed it, the grower falls back to building nodes
-// one at a time in reusable scratch buffers (losing subtraction but
-// bounding peak memory) — this is the mechanism behind "avoids
-// out-of-memory failures" in Figure 7.
-//
-// Exclusive feature bundling (data/bundling.h): when the context carries a
-// bundling plan, node histograms are accumulated over the bundled columns
-// (one histogram column per bundle — far fewer random updates for sparse
-// data) and then expanded back to the original per-feature layout, so split
-// selection, subtraction and the Tree never see bundles.
+// Two growth policies drive these steps and differ only where DESIGN.md §11
+// says they must: which nodes expand in a round (a whole level vs the
+// best-gain leaf, ties to the lowest node id), the partition and broadcast
+// cadence (one launch per level vs one per split), the budget rule (a
+// level's histograms at once vs one at a time), the lone-child rule
+// (leaf-wise builds an ineligible smaller child to derive its sibling) and
+// the CSC level sweep (level-wise only).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -53,20 +52,12 @@ struct GrowerContext {
   const data::BinnedCscMatrix* csc = nullptr;
   HistogramLayout layout;
   TrainConfig config;
-  // Feature subsets per device (feature-parallel) — contiguous chunks, or
-  // bundle-aligned groups when a bundling plan is applied.
-  std::vector<std::vector<std::uint32_t>> device_features;
-  // Row ownership boundaries per device (data-parallel).
-  std::vector<std::uint32_t> device_row_bounds;  // size n_devices + 1
-
   // Exclusive feature bundling (set by the booster via apply_bundling when
-  // config.efb finds mergeable features): the bundled bin matrix, its
-  // histogram layout (zero bin 0 per bundle = the shared default), and the
-  // per-device bundle partition matching device_features.
+  // config.efb finds mergeable features): the bundled bin matrix and its
+  // histogram layout (zero bin 0 per bundle = the shared default).
   const data::FeatureBundling* bundling = nullptr;
   const data::BinnedMatrix* bundled_bins = nullptr;
   HistogramLayout bundle_layout;
-  std::vector<std::vector<std::uint32_t>> device_bundles;
 
   // Histogram pool budget in bytes (from config.hist_budget_mb).
   std::size_t hist_pool_budget = 512ull << 20;
@@ -82,10 +73,8 @@ struct GrowerContext {
                               const data::BinCuts& cuts, int n_outputs,
                               const TrainConfig& config);
 
-  // Installs an EFB plan: builds the bundle layout and repartitions the
-  // device feature sets bundle-aligned (a bundle's members always live on
-  // one device, so the device that accumulates a bundled column also owns
-  // its expanded features for split search).
+  // Installs an EFB plan and builds the bundle layout. The grower then
+  // partitions columns bundle-aligned (see redistribute_over_alive).
   void apply_bundling(const data::FeatureBundling& plan,
                       const data::BinnedMatrix& bundled);
 };
@@ -114,11 +103,15 @@ class TreeGrower {
   // (reporting/ablation).
   const HistogramBuilder& builder() const { return *builder_; }
 
-  // Device-loss failover (sim/faults.h): after a device (or whole node) is
-  // marked lost, rebuilds the column partition AND the row shard boundaries
-  // over the surviving devices so the next grow() call — typically a retry
-  // of the tree the loss interrupted — runs entirely on the survivors.
-  // Requires at least one alive device.
+  // Partitions the columns and the row shards over the alive devices (the
+  // constructor runs it over the full group). Columns are contiguous
+  // chunks of features, or of whole bundles when an EFB plan is set, so
+  // the device that accumulates a bundled column also owns its expanded
+  // features for split search; rows are even contiguous shards. A lost
+  // device gets no columns and a zero-width row range. Device-loss
+  // failover (sim/faults.h) calls it after a device or node is marked lost,
+  // so the next grow() (the retry of the interrupted tree) runs on the
+  // survivors. Requires at least one alive device.
   void redistribute_over_alive();
 
   // Voting-parallel diagnostics: rounds where the canonical best feature was
@@ -155,6 +148,14 @@ class TreeGrower {
     std::unique_ptr<NodeHistogram> hist;
   };
 
+  // What expand_node hands back: the two children, smaller first, and the
+  // stats of the partition kernel that split their rows.
+  struct Children {
+    ActiveNode smaller;
+    ActiveNode larger;
+    sim::KernelStats partition;
+  };
+
   void grow_level_wise(std::span<const float> g, std::span<const float> h,
                        std::vector<std::uint32_t>& row_order, Tree& tree,
                        GrownTree& out, ActiveNode&& root);
@@ -162,20 +163,38 @@ class TreeGrower {
                       std::vector<std::uint32_t>& row_order, Tree& tree,
                       GrownTree& out, ActiveNode&& root);
 
-  void build_node_histogram(const ActiveNode& node, NodeHistogram& out,
-                            std::span<const float> g, std::span<const float> h);
-  // EFB build: accumulate over bundled columns, then expand to `out` in the
-  // original layout (zero bins reconstructed from the node totals).
-  void build_node_histogram_bundled(const ActiveNode& node, NodeHistogram& out,
-                                    std::span<const float> g,
-                                    std::span<const float> h);
+  // A node at `depth` may split: below max_depth, and enough rows for two
+  // children of min_instances_per_node.
+  bool splittable(const ActiveNode& node, int depth) const;
+
+  // The node-expansion step both policies share: stages and stable-
+  // partitions `a`'s rows by `s` (count-checked), adds the two children at
+  // `child_depth` to `tree`, and fills their totals. With `charge_now` the
+  // partition kernel is charged before the child-total reduction (leaf-wise,
+  // one launch per split); otherwise the caller sums a level's returned
+  // stats into one launch (level-wise). The fingerprint test pins the order.
+  Children expand_node(const ActiveNode& a, const SplitResult& s,
+                       int child_depth, bool charge_now,
+                       std::span<const float> g, std::span<const float> h,
+                       std::vector<std::uint32_t>& row_order, Tree& tree);
+  // Charges one partition_rows launch over st.gmem_random_accesses rows, plus
+  // the feature-parallel left/right bitmap broadcast.
+  void charge_partition(sim::KernelStats st);
+
+  // The one histogram-build path: accumulates `node` over its rows in
+  // `row_order` into `out` (original per-feature layout), on the plain or
+  // the EFB-bundled bin matrix, in every device mode.
+  void build_node_histogram(const ActiveNode& node,
+                            std::span<const std::uint32_t> row_order,
+                            NodeHistogram& out, std::span<const float> g,
+                            std::span<const float> h);
   // Host-side best-feature scan over a (partial or full) histogram,
   // mirroring the split kernel's gain formula. Used for the voting-parallel
   // local top-k nomination and the canonical-winner miss metric; the model
   // itself never depends on it.
   int best_local_feature(const NodeHistogram& hist,
                          std::span<const sim::GradPair> totals,
-                         std::uint32_t count, float* out_gain) const;
+                         std::uint32_t count) const;
   // Voting-parallel: nominate this device's local top-k features from its
   // partial histogram into vote_tally_ (and charge the local gain scan).
   void accumulate_local_votes(sim::Device& dev, const NodeHistogram& part,
@@ -207,15 +226,6 @@ class TreeGrower {
   void reduce_node_totals(std::span<const float> g, std::span<const float> h,
                           std::span<const std::uint32_t> rows,
                           std::vector<sim::GradPair>& totals);
-  // Stable-partitions a node's row range by its split and charges the
-  // partition kernel (+ the feature-parallel bitmap broadcast). Returns the
-  // first right-child index.
-  std::uint32_t partition_node(const ActiveNode& node, const SplitResult& s,
-                               std::vector<std::uint32_t>& row_order);
-
-  // Device memory accounting over the whole group.
-  void note_alloc_all(std::size_t bytes);
-  void note_free_all(std::size_t bytes);
 
   // Out-of-core staging: pages every tile of `features` × `rows` into device
   // `dev`'s block cache (no-op in in-core mode). Runs on the orchestration
@@ -228,7 +238,7 @@ class TreeGrower {
 
   // The first alive device (device 0 unless it was lost) — target for the
   // single-device charges (leaf finalize, partition kernel).
-  sim::Device& charge_device();
+  int lead_device() const;
 
   sim::DeviceGroup& group_;
   const GrowerContext& ctx_;
@@ -252,18 +262,14 @@ class TreeGrower {
   // Per-device block caches (out-of-core mode; empty otherwise).
   std::vector<std::unique_ptr<data::BlockCache>> block_caches_;
   SplitScratch split_scratch_;
-  std::vector<std::uint32_t> all_features_;
-  // Live column partition: starts as ctx_.device_features and shrinks to the
-  // survivors on redistribute_over_alive() (lost devices end up empty).
+  // Live partition (redistribute_over_alive): per-device feature columns,
+  // bundle columns (EFB only) and row shard boundaries (size n_devices + 1).
   std::vector<std::vector<std::uint32_t>> device_features_;
-  // Live bundle partition (EFB; parallel to device_features_).
   std::vector<std::vector<std::uint32_t>> device_bundles_;
-  // Live row shard boundaries (data/voting): starts as
-  // ctx_.device_row_bounds and is rebuilt over the survivors on
-  // redistribute_over_alive() (lost devices get zero-width ranges).
   std::vector<std::uint32_t> device_row_bounds_;
-  // This tree's feature view (= all_features_ unless colsample is active)
-  // and its intersection with every device's column partition.
+  // This tree's feature view (all features unless colsample is active, in
+  // the booster's ascending order) and its intersection with every device's
+  // column partition (for one device: the same list).
   std::vector<std::uint32_t> grow_features_;
   std::vector<std::vector<std::uint32_t>> grow_device_features_;
   // This tree's bundle view (EFB): bundles with at least one sampled member.
@@ -271,9 +277,6 @@ class TreeGrower {
   std::vector<std::vector<std::uint32_t>> grow_device_bundles_;
   // Scratch for the bundled accumulation pass (EFB).
   NodeHistogram bundle_scratch_;
-  // Row span of the node currently being built (set before each
-  // build_node_histogram call; avoids threading it through every helper).
-  std::span<const std::uint32_t> node_rows_;
   // Leaf-value/assignment work is accumulated and charged as one kernel per
   // tree (the real implementation finalizes all leaves in one launch).
   sim::KernelStats pending_leaf_stats_;

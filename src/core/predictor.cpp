@@ -182,54 +182,6 @@ void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
   }
 }
 
-CachedPredictor::CachedPredictor(sim::Device& dev, const data::DenseMatrix& x,
-                                 int n_outputs)
-    : dev_(dev),
-      x_(x),
-      n_outputs_(n_outputs),
-      scores_(x.n_rows() * static_cast<std::size_t>(n_outputs), 0.0f) {}
-
-void CachedPredictor::append_tree(const Tree& tree) {
-  GBMO_CHECK(tree.n_outputs() == n_outputs_);
-  std::vector<std::int32_t> leaf_map(x_.n_rows());
-  constexpr int kBlock = 256;
-  // Restage-on-retry: the launch adds into scores_ (leaf_map stores are
-  // idempotent), so snapshot/restore around the attempt when faults are
-  // armed; leaf_maps_ is only appended after a successful launch.
-  std::vector<float> staged;
-  if (sim::sim_faults_enabled()) staged = scores_;
-  sim::with_retry(dev_, [&] {
-  if (!staged.empty()) scores_ = staged;
-  sim::launch(dev_, "predict_cached", std::max(1, sim::blocks_for(x_.n_rows(), kBlock)),
-              kBlock, [&](sim::BlockCtx& blk) {
-    auto scores_v =
-        blk.global_view(std::span<float>(scores_), "cached_scores");
-    blk.threads([&](int tid) {
-      const std::size_t i = static_cast<std::size_t>(blk.block_id()) * kBlock +
-                            static_cast<std::size_t>(tid);
-      if (i >= x_.n_rows()) return;
-      // One traversal serves both the score update and the leaf memo (the
-      // previous code re-ran tree.find_leaf, doubling work and charges).
-      const auto hit = traverse(tree, x_.row(i), blk.stats());
-      const std::size_t off = i * static_cast<std::size_t>(n_outputs_);
-      for (std::size_t k = 0; k < hit.values.size(); ++k) {
-        scores_v.add(off + k, hit.values[k]);
-      }
-      leaf_map[i] = hit.leaf;
-    });
-  });
-  });
-  leaf_maps_.push_back(std::move(leaf_map));
-}
-
-void CachedPredictor::sync_with(std::span<const Tree> trees) {
-  GBMO_CHECK(trees.size() >= leaf_maps_.size())
-      << "cache holds more trees than the model";
-  for (std::size_t t = leaf_maps_.size(); t < trees.size(); ++t) {
-    append_tree(trees[t]);
-  }
-}
-
 std::vector<float> predict_scores(std::span<const Tree> trees,
                                   const data::DenseMatrix& x, int n_outputs) {
   std::vector<float> scores(x.n_rows() * static_cast<std::size_t>(n_outputs), 0.0f);

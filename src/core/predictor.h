@@ -33,33 +33,4 @@ void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
 std::vector<float> predict_scores(std::span<const Tree> trees,
                                   const data::DenseMatrix& x, int n_outputs);
 
-// §3.1.1 inference caching for a *fixed* instance matrix: every appended
-// tree is traversed once, its leaf assignment memoized, and the running
-// score matrix updated by a gather — repeated predictions and incremental
-// model extension never re-traverse old trees. This is exactly the
-// mechanism training uses for ŷ.
-class CachedPredictor {
- public:
-  CachedPredictor(sim::Device& dev, const data::DenseMatrix& x, int n_outputs);
-
-  // Traverses the new tree once, caches its leaf map, updates the scores.
-  void append_tree(const Tree& tree);
-  // Appends all trees the cache hasn't seen (idempotent for a prefix match).
-  void sync_with(std::span<const Tree> trees);
-
-  std::span<const float> scores() const { return scores_; }
-  std::size_t n_trees() const { return leaf_maps_.size(); }
-  // Leaf node id of instance i under cached tree t.
-  std::int32_t leaf_of(std::size_t tree, std::size_t instance) const {
-    return leaf_maps_[tree][instance];
-  }
-
- private:
-  sim::Device& dev_;
-  const data::DenseMatrix& x_;
-  int n_outputs_;
-  std::vector<float> scores_;
-  std::vector<std::vector<std::int32_t>> leaf_maps_;
-};
-
 }  // namespace gbmo::core

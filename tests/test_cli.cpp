@@ -2,14 +2,12 @@
 // binary executes, driven with temp files.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "cli.h"
+#include "test_temp_dir.h"
 
 namespace gbmo::cli {
 namespace {
@@ -26,32 +24,18 @@ CliResult run_cli(std::initializer_list<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
-// Gives each test a scratch directory of its own, named from the test and
-// the process id: ctest runs tests as concurrent processes, so fixed paths
-// would let one test overwrite another's files. Removed in TearDown.
+// Gives each test a scratch directory of its own (see test_temp_dir.h).
 class CliTempDir : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = std::filesystem::temp_directory_path() /
-           (std::string("gbmo_cli_test_") + info->test_suite_name() + "_" +
-            info->name() + "_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string tmp_path(const char* name) const { return (dir_ / name).string(); }
+  std::string tmp_path(const char* name) const { return dir_.path(name); }
 
  private:
-  std::filesystem::path dir_;
+  TestTempDir dir_;
 };
 
 class CliFlow : public CliTempDir {
  protected:
   void SetUp() override {
-    CliTempDir::SetUp();
     const auto gen = run_cli({"generate", "--task", "multiclass", "--n", "400",
                               "--m", "8", "--d", "3", "--seed", "9", "--out",
                               tmp_path("data.csv")});

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,6 +20,7 @@
 #include "sim/collectives.h"
 #include "sim/cost_model.h"
 #include "sim/launch.h"
+#include "test_temp_dir.h"
 
 namespace gbmo {
 namespace {
@@ -314,14 +314,14 @@ TEST(ProfilerTrace, WriteChromeTraceProducesParsableFile) {
   booster.set_sink(&prof);
   booster.fit(d);
 
-  const std::string path = "/tmp/gbmo_obs_test.trace.json";
+  const TestTempDir tmp;
+  const std::string path = tmp.path("trace.json");
   prof.write_chrome_trace(path);
   std::ifstream is(path);
   ASSERT_TRUE(is.good());
   std::stringstream buffer;
   buffer << is.rdbuf();
   EXPECT_TRUE(JsonChecker(buffer.str()).valid());
-  std::remove(path.c_str());
 }
 
 TEST(ProfilerTrace, CaptureDisabledKeepsRegistryOnly) {
@@ -429,11 +429,8 @@ TEST(TrainConfigBuilder, FluentChainsMatchPlainAssignment) {
 // ---------------------------------------------------------------------------
 // CLI surface
 
-std::string obs_tmp(const char* name) {
-  return std::string("/tmp/gbmo_obs_cli_") + name;
-}
-
 TEST(CliProfile, ProfileFlagAndTraceOutWork) {
+  const TestTempDir tmp;
   std::ostringstream out, err;
   auto run_cli = [&](std::vector<std::string> args) {
     out.str("");
@@ -443,14 +440,14 @@ TEST(CliProfile, ProfileFlagAndTraceOutWork) {
 
   ASSERT_EQ(run_cli({"generate", "--task", "multiclass", "--n", "200", "--m",
                      "8", "--d", "3", "--seed", "11", "--out",
-                     obs_tmp("d.csv")}),
+                     tmp.path("d.csv")}),
             0)
       << err.str();
 
   // --key=value spelling, profile table and trace file in one run.
-  const auto trace_path = obs_tmp("t.trace.json");
-  ASSERT_EQ(run_cli({"train", "--data", obs_tmp("d.csv"), "--features", "8",
-                     "--model", obs_tmp("m.model"), "--trees=5", "--bins=32",
+  const auto trace_path = tmp.path("t.trace.json");
+  ASSERT_EQ(run_cli({"train", "--data", tmp.path("d.csv"), "--features", "8",
+                     "--model", tmp.path("m.model"), "--trees=5", "--bins=32",
                      "--profile", std::string("--trace-out=") + trace_path}),
             0)
       << err.str();
@@ -464,7 +461,6 @@ TEST(CliProfile, ProfileFlagAndTraceOutWork) {
   std::stringstream buffer;
   buffer << is.rdbuf();
   EXPECT_TRUE(JsonChecker(buffer.str()).valid());
-  std::remove(trace_path.c_str());
 
   // bench supports the same flags through the TrainSystem interface.
   ASSERT_EQ(run_cli({"bench", "--dataset", "RF1", "--system", "gbmo-gpu",

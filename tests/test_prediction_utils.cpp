@@ -1,4 +1,4 @@
-// predict_proba, staged prediction, and the §3.1.1 CachedPredictor.
+// predict_proba and staged prediction.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -88,37 +88,6 @@ TEST(StagedPredictTest, PrefixSumsMatchFullModel) {
   const auto tree4_only = predict_scores({&model.trees[3], 1}, d.x, 4);
   for (std::size_t i = 0; i < at3.size(); ++i) {
     EXPECT_NEAR(at4[i], at3[i] + tree4_only[i], 1e-4f);
-  }
-}
-
-TEST(CachedPredictorTest, MatchesDirectPredictionIncrementally) {
-  data::Dataset d;
-  const auto model = train_multiclass(d);
-
-  sim::Device dev(sim::DeviceSpec::rtx4090());
-  CachedPredictor cache(dev, d.x, model.n_outputs);
-  // Feed the first half, check, then sync the rest.
-  for (std::size_t t = 0; t < 5; ++t) cache.append_tree(model.trees[t]);
-  const auto half = model.predict_staged(d.x, 5);
-  for (std::size_t i = 0; i < half.size(); ++i) {
-    EXPECT_NEAR(cache.scores()[i], half[i], 1e-4f);
-  }
-
-  cache.sync_with(model.trees);
-  EXPECT_EQ(cache.n_trees(), model.trees.size());
-  const auto full = model.predict(d.x);
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_NEAR(cache.scores()[i], full[i], 1e-4f);
-  }
-  // sync_with is idempotent.
-  cache.sync_with(model.trees);
-  EXPECT_EQ(cache.n_trees(), model.trees.size());
-
-  // Cached leaf ids match fresh traversals.
-  for (std::size_t t = 0; t < model.trees.size(); ++t) {
-    for (std::size_t i = 0; i < d.n_instances(); i += 37) {
-      EXPECT_EQ(cache.leaf_of(t, i), model.trees[t].find_leaf(d.x.row(i)));
-    }
   }
 }
 
