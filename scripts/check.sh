@@ -125,8 +125,8 @@ if [[ "${GBMO_CHECK_TSAN:-1}" != "0" ]]; then
     # Force multiple scheduler workers so TSan actually sees cross-thread
     # traffic even on small grids / 1-core hosts.
     GBMO_SIM_THREADS=4 ctest --test-dir "$tsan_build" --output-on-failure \
-      -R 'ThreadPool|SimParallel|Registry\.|ModelServer\.|Serve\.Batcher|OutOfCore|Distributed|Workloads|GrowerFingerprint'
-    echo "check: TSan stage OK (ThreadPool + SimParallel + serve registry/batcher + out-of-core + distributed + workloads + grower fingerprint under -fsanitize=thread)"
+      -R 'ThreadPool|SimParallel|Registry\.|ModelServer\.|Serve\.Batcher|OutOfCore|Distributed|Workloads|GrowerFingerprint|InferenceFingerprint'
+    echo "check: TSan stage OK (ThreadPool + SimParallel + serve registry/batcher + out-of-core + distributed + workloads + grower and inference fingerprints under -fsanitize=thread)"
   else
     echo "check: TSan stage skipped (toolchain cannot link -fsanitize=thread)"
   fi
@@ -136,7 +136,10 @@ fi
 # bookkeeping plus deliberately out-of-bounds toy kernels must stay
 # memory-safe under suppression), the data/bin-pack property tests, and the
 # grower suites (fingerprint, growth policies, EFB, histogram-pool budget),
-# which exercise every owner of a node-histogram buffer
+# which exercise every owner of a node-histogram buffer, and the inference
+# suites (fingerprint, compiled model, predictor, engines) with the
+# input-width and model-loader regressions (CliErrors, ModelIo), which must
+# end in errors, never out-of-bounds reads
 # (GBMO_CHECK_ASAN=0 skips; also skipped when the toolchain can't link
 # -fsanitize=address).
 if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
@@ -148,8 +151,8 @@ if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
     cmake -B "$asan_build" -S "$repo" -DGBMO_SANITIZE=address
     cmake --build "$asan_build" -j "$(nproc)" --target gbmo_tests
     GBMO_SIM_CHECK=1 ctest --test-dir "$asan_build" --output-on-failure \
-      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|Faults|Checkpoint|Sketch|OutOfCore|Grower|LeafWise|LevelWise|Efb|HistBudget'
-    echo "check: ASan stage OK (checker + data property + fault-injection + out-of-core + grower tests under -fsanitize=address)"
+      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|Faults|Checkpoint|Sketch|OutOfCore|Grower|LeafWise|LevelWise|Efb|HistBudget|InferenceFingerprint|CompiledModel|PredictorTest|Serve|CliErrors|ModelIo'
+    echo "check: ASan stage OK (checker + data property + fault-injection + out-of-core + grower + inference, input-width and model-loader tests under -fsanitize=address)"
   else
     echo "check: ASan stage skipped (toolchain cannot link -fsanitize=address)"
   fi

@@ -54,14 +54,24 @@ data::DenseMatrix Model::encode(const data::DenseMatrix& x) const {
   return out;
 }
 
+const data::DenseMatrix& Model::prepare_input(const data::DenseMatrix& x,
+                                              data::DenseMatrix& storage) const {
+  if (x.n_cols() != cuts.n_features()) {
+    throw Error("input has " + std::to_string(x.n_cols()) +
+                " features, the model expects " +
+                std::to_string(cuts.n_features()));
+  }
+  if (!has_categoricals()) return x;
+  storage = encode(x);
+  return storage;
+}
+
 std::vector<float> Model::predict_staged(const data::DenseMatrix& x,
                                          std::size_t n_trees) const {
-  const std::span<const Tree> prefix(trees.data(), std::min(n_trees, trees.size()));
-  if (prefix.empty()) {
-    return std::vector<float>(x.n_rows() * static_cast<std::size_t>(n_outputs), 0.0f);
-  }
-  if (has_categoricals()) return predict_scores(prefix, encode(x), n_outputs);
-  return predict_scores(prefix, x, n_outputs);
+  data::DenseMatrix encoded;
+  const auto& in = prepare_input(x, encoded);
+  return predict_scores({trees.data(), std::min(n_trees, trees.size())}, in,
+                        n_outputs);
 }
 
 std::vector<float> Model::predict_proba(const data::DenseMatrix& x) const {
@@ -328,13 +338,9 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
   const data::DenseMatrix* valid_x = nullptr;
   if (valid != nullptr) {
     valid_scores.assign(valid->n_instances() * static_cast<std::size_t>(d), 0.0f);
-    // Validation rows are unseen data: encode them through the *final*
-    // category tables, exactly as Model::encode will at predict time.
-    valid_x = &valid->x;
-    if (model.has_categoricals()) {
-      valid_x_encoded = model.encode(valid->x);
-      valid_x = &valid_x_encoded;
-    }
+    // Validation rows are unseen data: they take the predict-time input
+    // step, encoded through the *final* category tables.
+    valid_x = &model.prepare_input(valid->x, valid_x_encoded);
   }
   double best_valid = 0.0;
   int rounds_since_best = 0;
@@ -513,14 +519,11 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
     report_.per_tree_seconds.push_back(total - prev_total);
     prev_total = total;
 
-    // Validation monitoring + early stopping. The eval device carries id -1
-    // so scripted fault plans (which target device ids >= 0) never hit it —
-    // its transient retries stay functionally invisible either way.
+    // Validation monitoring + early stopping, on the host: inference cost is
+    // not part of training time.
     if (valid != nullptr) {
-      sim::Device eval_dev(spec_, -1);  // inference cost not part of training time
-      std::vector<float> tree_scores(valid_scores.size(), 0.0f);
-      predict_scores_device(eval_dev, {&model.trees.back(), 1}, *valid_x,
-                            tree_scores);
+      const auto tree_scores =
+          predict_scores({&model.trees.back(), 1}, *valid_x, d);
       for (std::size_t i = 0; i < valid_scores.size(); ++i) {
         valid_scores[i] += tree_scores[i];
       }

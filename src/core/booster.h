@@ -40,11 +40,16 @@ struct Model {
   // Copy of `x` with every categorical column replaced by its final
   // statistic (NaN stays NaN, unseen categories encode as the prior).
   data::DenseMatrix encode(const data::DenseMatrix& x) const;
+  // The input step of every predict entry point (Model::predict*, the
+  // serving engines): throws gbmo::Error unless `x` has the model's
+  // cuts.n_features() columns, then returns the encoded copy (written to
+  // `storage`) for a categorical model, or `x` itself, uncopied, otherwise.
+  const data::DenseMatrix& prepare_input(const data::DenseMatrix& x,
+                                         data::DenseMatrix& storage) const;
 
-  // Raw additive scores for a feature matrix (host-side convenience).
+  // Raw additive scores for a feature matrix (the scalar oracle).
   std::vector<float> predict(const data::DenseMatrix& x) const {
-    if (has_categoricals()) return predict_scores(trees, encode(x), n_outputs);
-    return predict_scores(trees, x, n_outputs);
+    return predict_staged(x, trees.size());
   }
   // Scores of the first `n_trees` trees only (learning-curve inspection).
   std::vector<float> predict_staged(const data::DenseMatrix& x,

@@ -1,7 +1,6 @@
 #include "core/compiled_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 #include "sim/launch.h"
@@ -55,7 +54,6 @@ CompiledModel CompiledModel::compile(std::span<const Tree> trees,
     m.leaf_pool_.insert(m.leaf_pool_.end(), lv.begin(), lv.end());
     m.tree_node_base_.push_back(base +
                                 static_cast<std::int32_t>(tree.n_nodes()));
-    m.max_depth_ = std::max(m.max_depth_, tree.max_depth_reached());
   }
   return m;
 }
@@ -67,33 +65,6 @@ std::size_t CompiledModel::group_slab_bytes(std::size_t t_lo,
   // Five hot 4-byte arrays (feature / threshold / left / right /
   // leaf-offset) plus the default-left bitset.
   return nodes * 20 + ((nodes + 31) / 32) * 4;
-}
-
-std::int32_t CompiledModel::traverse(std::size_t t,
-                                     std::span<const float> row) const {
-  std::int32_t id = node_base(t);
-  while (feature_[static_cast<std::size_t>(id)] >= 0) {
-    const auto i = static_cast<std::size_t>(id);
-    const float v = row[static_cast<std::size_t>(feature_[i])];
-    const bool go_left = std::isnan(v) ? default_left(i) : v <= threshold_[i];
-    id = go_left ? left_[i] : right_[i];
-  }
-  return leaf_offset_[static_cast<std::size_t>(id)];
-}
-
-std::vector<float> CompiledModel::predict_host(
-    const data::DenseMatrix& x) const {
-  const auto d = static_cast<std::size_t>(n_outputs_);
-  std::vector<float> scores(x.n_rows() * d, 0.0f);
-  for (std::size_t t = 0; t < n_trees(); ++t) {
-    for (std::size_t i = 0; i < x.n_rows(); ++i) {
-      const float* src =
-          leaf_pool_.data() + static_cast<std::size_t>(traverse(t, x.row(i)));
-      float* dst = scores.data() + i * d;
-      for (std::size_t k = 0; k < d; ++k) dst[k] += src[k];
-    }
-  }
-  return scores;
 }
 
 namespace {
@@ -134,11 +105,6 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
 
   const std::size_t n_trees = m.n_trees();
   const auto groups = make_groups(m, dev.spec().shared_mem_per_block);
-  const auto feature = m.feature();
-  const auto threshold = m.threshold();
-  const auto left = m.left();
-  const auto right = m.right();
-  const auto leaf_offset = m.leaf_offset();
   const auto pool = m.leaf_pool();
 
   constexpr int kBlock = 256;
@@ -171,29 +137,10 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
       const std::size_t row_lo = tile_lo + chunk * kBlock;
       const std::size_t row_hi = std::min(tile_hi, row_lo + kBlock);
       const std::size_t g_trees = grp.t_hi - grp.t_lo;
-      const auto node_lo = static_cast<std::size_t>(m.node_base(grp.t_lo));
-      const std::size_t slab_nodes =
-          static_cast<std::size_t>(m.node_base(grp.t_hi)) - node_lo;
-
-      // Functional shared-memory staging: block-local copies of the group's
-      // slabs (modeled below as one coalesced global read + smem fill).
-      std::vector<std::int32_t> f_s, l_s, r_s, lo_s;
-      std::vector<float> thr_s;
-      std::vector<std::uint8_t> dl_s;
+      // Shared-memory staging of the group's contiguous SoA slab
+      // [node_base(t_lo), node_base(t_hi)), modeled as one coalesced global
+      // read + smem fill. The host walks the same slab in place.
       if (grp.staged) {
-        f_s.assign(feature.begin() + node_lo,
-                   feature.begin() + node_lo + slab_nodes);
-        thr_s.assign(threshold.begin() + node_lo,
-                     threshold.begin() + node_lo + slab_nodes);
-        l_s.assign(left.begin() + node_lo, left.begin() + node_lo + slab_nodes);
-        r_s.assign(right.begin() + node_lo,
-                   right.begin() + node_lo + slab_nodes);
-        lo_s.assign(leaf_offset.begin() + node_lo,
-                    leaf_offset.begin() + node_lo + slab_nodes);
-        dl_s.resize(slab_nodes);
-        for (std::size_t i = 0; i < slab_nodes; ++i) {
-          dl_s[i] = m.default_left(node_lo + i) ? 1 : 0;
-        }
         const auto slab_bytes =
             static_cast<std::uint64_t>(m.group_slab_bytes(grp.t_lo, grp.t_hi));
         blk.stats().gmem_coalesced_bytes += slab_bytes;
@@ -208,41 +155,21 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
         const auto row = x.row(i);
         auto& s = blk.stats();
         for (std::size_t t = grp.t_lo; t < grp.t_hi; ++t) {
-          std::int32_t id = m.node_base(t);
-          int levels = 0;
-          std::int32_t leaf = -1;
+          const auto leaf = m.traverse(t, row);
+          const auto levels = static_cast<std::uint64_t>(leaf.levels);
           if (grp.staged) {
-            std::size_t rel = static_cast<std::size_t>(id) - node_lo;
-            while (f_s[rel] >= 0) {
-              const float v = row[static_cast<std::size_t>(f_s[rel])];
-              const bool go_left =
-                  std::isnan(v) ? dl_s[rel] != 0 : v <= thr_s[rel];
-              rel = static_cast<std::size_t>(go_left ? l_s[rel] : r_s[rel]) -
-                    node_lo;
-              ++levels;
-            }
-            leaf = lo_s[rel];
             // On-chip node fetches: feature + threshold + child id + the
             // default-left bit per level.
-            s.smem_bytes += static_cast<std::uint64_t>(levels) * 13;
+            s.smem_bytes += levels * 13;
           } else {
-            while (feature[static_cast<std::size_t>(id)] >= 0) {
-              const auto ni = static_cast<std::size_t>(id);
-              const float v = row[static_cast<std::size_t>(feature[ni])];
-              const bool go_left =
-                  std::isnan(v) ? m.default_left(ni) : v <= threshold[ni];
-              id = go_left ? left[ni] : right[ni];
-              ++levels;
-            }
-            leaf = leaf_offset[static_cast<std::size_t>(id)];
             // Unstaged fallback pays the same scattered node fetches as the
             // pointer-chasing reference.
-            s.gmem_random_accesses += static_cast<std::uint64_t>(levels) * 2;
+            s.gmem_random_accesses += levels * 2;
           }
-          leaf_idx_v.store((i - tile_lo) * n_trees + t, leaf);
+          leaf_idx_v.store((i - tile_lo) * n_trees + t, leaf.offset);
         }
         // Leaf-offset scratch write-out: one coalesced word per tree.
-        blk.stats().gmem_coalesced_bytes +=
+        s.gmem_coalesced_bytes +=
             static_cast<std::uint64_t>(g_trees) * sizeof(std::int32_t);
       });
     });

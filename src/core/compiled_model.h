@@ -25,6 +25,7 @@
 // same rule the binned training partition applies (NaN -> bin 0 -> left).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -47,38 +48,41 @@ class CompiledModel {
   std::size_t n_trees() const { return tree_node_base_.empty() ? 0 : tree_node_base_.size() - 1; }
   std::size_t n_nodes() const { return feature_.size(); }
   bool empty() const { return n_trees() == 0; }
-  int max_depth() const { return max_depth_; }
 
-  // --- flat arrays (kernel + test access) ---------------------------------
-  std::span<const std::int32_t> feature() const { return feature_; }    // -1 => leaf
-  std::span<const float> threshold() const { return threshold_; }
-  std::span<const std::int32_t> left() const { return left_; }          // absolute ids
-  std::span<const std::int32_t> right() const { return right_; }
-  std::span<const std::int32_t> leaf_offset() const { return leaf_offset_; }
-  std::span<const std::uint32_t> default_left_bits() const { return default_left_; }
   std::span<const float> leaf_pool() const { return leaf_pool_; }
   // First node id of tree t; node_base(n_trees()) == n_nodes().
   std::int32_t node_base(std::size_t t) const { return tree_node_base_[t]; }
-
-  bool default_left(std::size_t node) const {
-    return (default_left_[node >> 5] >> (node & 31u)) & 1u;
-  }
 
   // Bytes a group of trees [t_lo, t_hi) occupies when staged in shared
   // memory (the four hot 4-byte arrays + the default-left bitset).
   std::size_t group_slab_bytes(std::size_t t_lo, std::size_t t_hi) const;
 
-  // Host-side scalar traversal of tree t for one row: returns the absolute
-  // offset of the reached leaf's value vector in leaf_pool().
-  std::int32_t traverse(std::size_t t, std::span<const float> row) const;
-
-  // Scalar host predict (no device accounting); bit-identical to
-  // core::predict_scores on the source trees.
-  std::vector<float> predict_host(const data::DenseMatrix& x) const;
+  // The one traversal of the SoA layout: walks tree t for one row and
+  // returns the absolute offset of the reached leaf's value vector in
+  // leaf_pool() and the number of internal nodes walked. NaN follows the
+  // node's default-left bit.
+  struct Leaf {
+    std::int32_t offset;
+    int levels;
+  };
+  Leaf traverse(std::size_t t, std::span<const float> row) const {
+    auto id = static_cast<std::size_t>(tree_node_base_[t]);
+    int levels = 0;
+    while (feature_[id] >= 0) {
+      const float v = row[static_cast<std::size_t>(feature_[id])];
+      const bool go_left = std::isnan(v) ? default_left(id) : v <= threshold_[id];
+      id = static_cast<std::size_t>(go_left ? left_[id] : right_[id]);
+      ++levels;
+    }
+    return {leaf_offset_[id], levels};
+  }
 
  private:
+  bool default_left(std::size_t node) const {
+    return (default_left_[node >> 5] >> (node & 31u)) & 1u;
+  }
+
   int n_outputs_ = 0;
-  int max_depth_ = 0;
   std::vector<std::int32_t> feature_;
   std::vector<float> threshold_;
   std::vector<std::int32_t> left_;

@@ -143,16 +143,14 @@ struct TrainConfig {
   std::string faults;
 
   // --- out-of-core streaming (DESIGN.md §12) -------------------------------
-  // Device-memory budget for the bin-packed feature-block cache, in MiB
-  // (0 = in-core: the whole binned matrix is device-resident up front).
-  // When set, the binned matrix stays in simulated host memory and
-  // (feature, row-chunk) tiles are staged into a bounded LRU block cache on
-  // demand, every transfer charged to the cost model; models are bitwise
-  // identical to in-core training at any budget. A budget too small for even
-  // one feature's working set hard-fails with sim::DeviceBudgetExceeded.
-  int max_device_mb = 0;
-  // Same budget in bytes; takes precedence over max_device_mb when nonzero
-  // (tests and benches need sub-MiB budgets).
+  // Device-memory budget for the bin-packed feature-block cache, in bytes
+  // (0 = in-core: the whole binned matrix is device-resident up front; the
+  // CLI's --max-device-mb sets it in MiB). When set, the binned matrix stays
+  // in simulated host memory and (feature, row-chunk) tiles are staged into
+  // a bounded LRU block cache on demand, every transfer charged to the cost
+  // model; models are bitwise identical to in-core training at any budget. A
+  // budget too small for even one feature's working set hard-fails with
+  // sim::DeviceBudgetExceeded.
   std::uint64_t device_budget_bytes = 0;
   // Row-chunk size for streaming ingest and tile granularity (0 = one chunk
   // spanning all rows). Also the chunk size used when building bin cuts from
@@ -160,13 +158,7 @@ struct TrainConfig {
   int stream_chunk_rows = 0;
 
   bool out_of_core_enabled() const {
-    return max_device_mb > 0 || device_budget_bytes > 0 ||
-           stream_chunk_rows > 0;
-  }
-  // Effective block-cache budget in bytes (0 = unbounded).
-  std::uint64_t block_cache_budget_bytes() const {
-    if (device_budget_bytes > 0) return device_budget_bytes;
-    return static_cast<std::uint64_t>(max_device_mb) << 20;
+    return device_budget_bytes > 0 || stream_chunk_rows > 0;
   }
 
   // Checkpoint the booster every N completed trees (0 = off) to
@@ -212,7 +204,6 @@ struct TrainConfig {
     return *this;
   }
   TrainConfig& hist_budget(int mb) { hist_budget_mb = mb; return *this; }
-  TrainConfig& device_budget_mb(int mb) { max_device_mb = mb; return *this; }
   TrainConfig& device_budget(std::uint64_t bytes) {
     device_budget_bytes = bytes;
     return *this;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -24,6 +25,33 @@ float read_float(std::istream& is) {
   const float v = std::strtof(tok.c_str(), &end);
   GBMO_CHECK(end != tok.c_str() && *end == '\0') << "bad float: " << tok;
   return v;
+}
+
+// Bytes between the read position and the end of `is` (the max when the
+// stream cannot seek, e.g. a pipe).
+std::size_t bytes_left(std::istream& is) {
+  const auto here = is.tellg();
+  if (here < 0) return std::numeric_limits<std::size_t>::max();
+  is.seekg(0, std::ios::end);
+  const auto end = is.tellg();
+  is.seekg(here);
+  return end > here ? static_cast<std::size_t>(end - here) : 0;
+}
+
+// Reads the element count of a record whose elements each take at least
+// `min_bytes` bytes of text, and rejects a count the rest of the stream
+// cannot hold — before anything is sized from it.
+std::size_t read_count(std::istream& is, const char* what,
+                       std::size_t min_bytes) {
+  std::size_t n = 0;
+  GBMO_CHECK(static_cast<bool>(is >> n)) << "missing " << what << " count";
+  const std::size_t left = bytes_left(is);
+  if (n > left / min_bytes) {
+    throw Error(std::string(what) + " count " + std::to_string(n) +
+                " exceeds what the " + std::to_string(left) +
+                " bytes left in the file can hold");
+  }
+  return n;
 }
 
 const char* task_tag(data::TaskKind t) { return data::task_name(t); }
@@ -96,11 +124,15 @@ Model read_model(std::istream& is) {
   GBMO_CHECK(static_cast<bool>(is >> tag >> task_str >> model.n_outputs) &&
              tag == "task");
   model.task = parse_task(task_str);
+  GBMO_CHECK(model.n_outputs >= 1) << "bad output count " << model.n_outputs;
 
-  std::size_t n_features = 0;
+  // Counts are bounded by the smallest text each element can take:
+  // "cuts 0\n" per feature, "0 " per value, "tree 0 0\nleaves\n" per tree,
+  // "node" plus eight fields per node, "cat 0 0 0\n" per table.
+  GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "features");
+  const std::size_t n_features = read_count(is, "feature", 7);
   int max_bins = 0;
-  GBMO_CHECK(static_cast<bool>(is >> tag >> n_features >> max_bins) &&
-             tag == "features");
+  GBMO_CHECK(static_cast<bool>(is >> max_bins));
 
   // Rebuild BinCuts through a synthetic dense matrix is lossy; instead the
   // cuts are reconstructed directly via the serialization-friendly path: a
@@ -109,24 +141,25 @@ Model read_model(std::istream& is) {
   // exact cut array (bin_for/threshold_for only read that array).
   std::vector<std::vector<float>> feature_cuts(n_features);
   for (std::size_t f = 0; f < n_features; ++f) {
-    std::size_t k = 0;
-    GBMO_CHECK(static_cast<bool>(is >> tag >> k) && tag == "cuts");
-    feature_cuts[f].resize(k);
+    GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "cuts");
+    feature_cuts[f].resize(read_count(is, "cut", 2));
     for (auto& v : feature_cuts[f]) v = read_float(is);
   }
   model.cuts = data::BinCuts::from_cut_arrays(feature_cuts, max_bins);
 
-  std::size_t n_trees = 0;
-  GBMO_CHECK(static_cast<bool>(is >> tag >> n_trees) && tag == "trees");
+  GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "trees");
+  const std::size_t n_trees = read_count(is, "tree", 16);
   model.trees.reserve(n_trees);
   for (std::size_t t = 0; t < n_trees; ++t) {
-    std::size_t n_nodes = 0, n_leaf_values = 0;
-    GBMO_CHECK(static_cast<bool>(is >> tag >> n_nodes >> n_leaf_values) &&
-               tag == "tree");
-    std::vector<TreeNode> nodes(n_nodes);
+    GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "tree");
+    std::vector<TreeNode> nodes(read_count(is, "node", 20));
+    std::vector<float> leaf_values(read_count(is, "leaf value", 2));
     for (auto& n : nodes) {
       GBMO_CHECK(static_cast<bool>(is >> tag >> n.feature >> n.split_bin) &&
                  tag == "node");
+      GBMO_CHECK(n.feature < static_cast<std::int64_t>(n_features))
+          << "node feature " << n.feature << " out of range for "
+          << n_features << " features";
       n.threshold = read_float(is);
       GBMO_CHECK(static_cast<bool>(is >> n.left >> n.right >> n.leaf_offset));
       n.gain = read_float(is);
@@ -146,7 +179,6 @@ Model read_model(std::istream& is) {
         n.default_left = flag != 0;
       }
     }
-    std::vector<float> leaf_values(n_leaf_values);
     GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "leaves");
     for (auto& v : leaf_values) v = read_float(is);
     Tree tree(model.n_outputs);
@@ -160,14 +192,11 @@ Model read_model(std::istream& is) {
   // so the same EOF probe works for embedded models too.
   if (is >> tag) {
     GBMO_CHECK(tag == "categoricals") << "unexpected trailing tag: " << tag;
-    std::size_t n_tables = 0;
-    GBMO_CHECK(static_cast<bool>(is >> n_tables));
-    model.categoricals.resize(n_tables);
+    model.categoricals.resize(read_count(is, "categorical table", 10));
     for (auto& t : model.categoricals) {
       GBMO_CHECK(static_cast<bool>(is >> tag >> t.col) && tag == "cat");
       t.prior = read_float(is);
-      std::size_t k = 0;
-      GBMO_CHECK(static_cast<bool>(is >> k));
+      const std::size_t k = read_count(is, "category", 4);
       t.hashes.resize(k);
       t.values.resize(k);
       for (std::size_t i = 0; i < k; ++i) {
@@ -233,19 +262,18 @@ Checkpoint read_checkpoint(std::istream& is) {
   for (auto& w : ckpt.rng_state) {
     GBMO_CHECK(static_cast<bool>(is >> w)) << "truncated checkpoint file";
   }
-  std::size_t n = 0;
-  GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "scores");
-  ckpt.scores.resize(n);
+  GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "scores");
+  ckpt.scores.resize(read_count(is, "score", 2));
   for (auto& v : ckpt.scores) v = read_float(is);
   GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "earlystop");
   ckpt.best_valid = read_double(is);
   GBMO_CHECK(static_cast<bool>(is >> ckpt.rounds_since_best >>
                                ckpt.best_tree_count));
-  GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "validscores");
-  ckpt.valid_scores.resize(n);
+  GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "validscores");
+  ckpt.valid_scores.resize(read_count(is, "validation score", 2));
   for (auto& v : ckpt.valid_scores) v = read_float(is);
-  GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "validmetrics");
-  ckpt.valid_metric_per_tree.resize(n);
+  GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "validmetrics");
+  ckpt.valid_metric_per_tree.resize(read_count(is, "validation metric", 2));
   for (auto& v : ckpt.valid_metric_per_tree) v = read_double(is);
   GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "model");
   is >> std::ws;  // consume the newline before the model's magic line

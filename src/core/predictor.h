@@ -2,9 +2,10 @@
 //
 // Training never re-traverses trees: the grower records which leaf every
 // training row landed in, so updating ŷ is a gather of leaf vectors plus a
-// d-wide axpy. Standalone inference traverses the trees, either
-// instance-parallel (one thread per instance, trees in sequence) or
-// tree-parallel (blocks cover (tree, instance-chunk) pairs concurrently).
+// d-wide axpy. Standalone inference is the compiled engine
+// (core/compiled_model.h); this file keeps the scalar oracle it is pinned
+// against and the tree-at-a-time device path that serves as its modeled
+// baseline (the "reference" engine).
 #pragma once
 
 #include <span>
@@ -24,12 +25,13 @@ void update_scores_from_leaves(sim::Device& dev, const Tree& tree,
                                std::span<const std::int32_t> leaf_of_row,
                                std::span<float> scores, bool apply = true);
 
-// Full-model inference over raw feature values.
+// Full-model inference over raw feature values: one launch per tree, one
+// thread per instance, each walking Tree::find_leaf.
 void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
-                           const data::DenseMatrix& x, std::span<float> scores,
-                           bool tree_parallel = false);
+                           const data::DenseMatrix& x, std::span<float> scores);
 
-// Host-side convenience (no device accounting); used by examples/tests.
+// The scalar oracle (no device accounting): adds the trees' leaf vectors in
+// ascending tree order, the float-addition order every device path keeps.
 std::vector<float> predict_scores(std::span<const Tree> trees,
                                   const data::DenseMatrix& x, int n_outputs);
 

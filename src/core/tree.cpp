@@ -1,7 +1,6 @@
 #include "core/tree.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace gbmo::core {
 
@@ -50,47 +49,41 @@ void Tree::set_leaf(std::int32_t node_id, std::span<const float> values) {
   ++n_leaves_;
 }
 
-std::int32_t Tree::find_leaf(std::span<const float> x_row) const {
-  GBMO_CHECK(!nodes_.empty());
-  std::int32_t id = 0;
-  while (!nodes_[static_cast<std::size_t>(id)].is_leaf()) {
-    const auto& n = nodes_[static_cast<std::size_t>(id)];
-    const float v = x_row[static_cast<std::size_t>(n.feature)];
-    // NaN must follow the node's default direction; `v <= threshold` alone
-    // would send it right, diverging from the binned training partition.
-    const bool go_left = std::isnan(v) ? n.default_left : v <= n.threshold;
-    id = go_left ? n.left : n.right;
-  }
-  return id;
-}
-
 void Tree::set_raw(std::vector<TreeNode> nodes, std::vector<float> leaf_values,
                    int n_outputs) {
   nodes_ = std::move(nodes);
   leaf_values_ = std::move(leaf_values);
   n_outputs_ = n_outputs;
   n_leaves_ = 0;
-  for (const auto& n : nodes_) {
+  GBMO_CHECK(!nodes_.empty()) << "a tree needs a root node";
+  // Children come after their parent (as split_node appends them), so every
+  // traversal moves to a higher id and ends at a leaf: no cycles.
+  const auto n_nodes = static_cast<std::int64_t>(nodes_.size());
+  for (std::int64_t id = 0; id < n_nodes; ++id) {
+    const auto& n = nodes_[static_cast<std::size_t>(id)];
     if (n.is_leaf()) {
       GBMO_CHECK(n.leaf_offset >= 0 &&
                  static_cast<std::size_t>(n.leaf_offset) + n_outputs_ <=
                      leaf_values_.size());
       ++n_leaves_;
+    } else {
+      GBMO_CHECK(n.left > id && n.left < n_nodes && n.right > id &&
+                 n.right < n_nodes)
+          << "node " << id << " has children " << n.left << ", " << n.right
+          << " outside (" << id << ", " << n_nodes << ")";
     }
   }
   // Recompute the depth (construction tracks it; raw loads must rebuild it).
   max_depth_ = 0;
-  if (!nodes_.empty()) {
-    std::vector<std::pair<std::int32_t, int>> stack = {{0, 0}};
-    while (!stack.empty()) {
-      const auto [id, depth] = stack.back();
-      stack.pop_back();
-      max_depth_ = std::max(max_depth_, depth);
-      const auto& n = nodes_[static_cast<std::size_t>(id)];
-      if (!n.is_leaf()) {
-        stack.push_back({n.left, depth + 1});
-        stack.push_back({n.right, depth + 1});
-      }
+  std::vector<std::pair<std::int32_t, int>> stack = {{0, 0}};
+  while (!stack.empty()) {
+    const auto [id, depth] = stack.back();
+    stack.pop_back();
+    max_depth_ = std::max(max_depth_, depth);
+    const auto& n = nodes_[static_cast<std::size_t>(id)];
+    if (!n.is_leaf()) {
+      stack.push_back({n.left, depth + 1});
+      stack.push_back({n.right, depth + 1});
     }
   }
 }

@@ -13,6 +13,7 @@
 // routing identical.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -71,8 +72,27 @@ class Tree {
   }
   std::span<const float> all_leaf_values() const { return leaf_values_; }
 
-  // Traverses by raw feature values; returns the leaf node id.
-  std::int32_t find_leaf(std::span<const float> x_row) const;
+  // Traverses by raw feature values; returns the leaf node id. The one
+  // raw-value traversal of this layout: every scalar and device path over
+  // Tree calls it. `levels`, when given, receives the number of internal
+  // nodes walked (the device path charges per level).
+  std::int32_t find_leaf(std::span<const float> x_row,
+                         int* levels = nullptr) const {
+    GBMO_CHECK(!nodes_.empty());
+    std::int32_t id = 0;
+    int walked = 0;
+    while (!nodes_[static_cast<std::size_t>(id)].is_leaf()) {
+      const auto& n = nodes_[static_cast<std::size_t>(id)];
+      const float v = x_row[static_cast<std::size_t>(n.feature)];
+      // NaN must follow the node's default direction; `v <= threshold` alone
+      // would send it right, diverging from the binned training partition.
+      const bool go_left = std::isnan(v) ? n.default_left : v <= n.threshold;
+      id = go_left ? n.left : n.right;
+      ++walked;
+    }
+    if (levels != nullptr) *levels = walked;
+    return id;
+  }
 
   // Traverses by precomputed bin ids (bin(r, f) callback).
   template <typename BinFn>

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/booster.h"
 #include "core/model_io.h"
@@ -117,6 +120,128 @@ TEST(ModelIoTest, RoundTripPreservesPredictions) {
 TEST(ModelIoTest, RejectsGarbage) {
   std::stringstream ss("not a model");
   EXPECT_THROW(read_model(ss), Error);
+}
+
+// A one-split, one-output model over one feature, as text, with a trailing
+// categorical table so every counted record appears.
+std::string tiny_model_text() {
+  return "gbmo-model-v1\n"
+         "task multiregress 1\n"
+         "features 1 4\n"
+         "cuts 1 0.5\n"
+         "trees 1\n"
+         "tree 3 2\n"
+         "node 0 0 0.5 1 2 -1 1 10 1\n"
+         "node -1 -1 0 -1 -1 0 0 5 1\n"
+         "node -1 -1 0 -1 -1 1 0 5 1\n"
+         "leaves -1 1\n"
+         "categoricals 1\n"
+         "cat 0 0.5 1\n"
+         "17 0.25\n";
+}
+
+// `text` with the first occurrence of `from` replaced by `to`.
+std::string mutate(std::string text, const std::string& from,
+                   const std::string& to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+Model read_text(const std::string& text) {
+  std::istringstream is(text);
+  return read_model(is);
+}
+
+TEST(ModelIoTest, TinyModelTextLoads) {
+  const auto model = read_text(tiny_model_text());
+  ASSERT_EQ(model.trees.size(), 1u);
+  EXPECT_EQ(model.trees[0].n_leaves(), 2u);
+  EXPECT_EQ(model.categoricals.size(), 1u);
+}
+
+// Each count is checked against the bytes left before anything is sized
+// from it: an inflated count is a gbmo::Error, never std::bad_alloc.
+TEST(ModelIoTest, RejectsCountsTheFileCannotHold) {
+  const std::string huge = "2000000000";
+  const std::string text = tiny_model_text();
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"features 1 4", "features " + huge + " 4"},
+           {"cuts 1 ", "cuts " + huge + " "},
+           {"trees 1", "trees " + huge},
+           {"tree 3 2", "tree " + huge + " 2"},
+           {"tree 3 2", "tree 3 " + huge},
+           {"categoricals 1", "categoricals " + huge},
+           {"cat 0 0.5 1", "cat 0 0.5 " + huge},
+           {"trees 1", "trees -1"},
+       }) {
+    EXPECT_THROW(read_text(mutate(text, from, to)), Error) << to;
+  }
+}
+
+TEST(ModelIoTest, RejectsCheckpointArraysTheFileCannotHold) {
+  Checkpoint ckpt;
+  ckpt.scores = {1.0f, 2.0f};
+  ckpt.valid_scores = {3.0f};
+  ckpt.valid_metric_per_tree = {0.5};
+  ckpt.trees_completed = 1;
+  ckpt.model = read_text(tiny_model_text());
+  std::ostringstream os;
+  write_checkpoint(os, ckpt);
+  {
+    std::istringstream is(os.str());
+    EXPECT_EQ(read_checkpoint(is).scores.size(), 2u);
+  }
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"scores 2", "scores 2000000000"},
+           {"validscores 1", "validscores 2000000000"},
+           {"validmetrics 1", "validmetrics 2000000000"},
+       }) {
+    std::istringstream is(mutate(os.str(), from, to));
+    EXPECT_THROW(read_checkpoint(is), Error) << to;
+  }
+}
+
+// A child id that does not lie after its parent would let a traversal loop
+// forever (a root whose children are both 0) or read past the node array.
+TEST(ModelIoTest, RejectsChildIdsThatDoNotDescend) {
+  const std::string root = "node 0 0 0.5 1 2 -1 1 10 1";
+  for (const char* bad :
+       {"node 0 0 0.5 0 0 -1 1 10 1", "node 0 0 0.5 1 3 -1 1 10 1",
+        "node 0 0 0.5 -1 2 -1 1 10 1", "node 0 0 0.5 1 99 -1 1 10 1"}) {
+    EXPECT_THROW(read_text(mutate(tiny_model_text(), root, bad)), Error) << bad;
+  }
+  EXPECT_THROW(read_text(mutate(tiny_model_text(), "tree 3 2\nnode 0 0 0.5 1 2 -1 1 10 1\n"
+                                                   "node -1 -1 0 -1 -1 0 0 5 1\n"
+                                                   "node -1 -1 0 -1 -1 1 0 5 1\n",
+                                "tree 0 2\n")),
+               Error)
+      << "tree without a root";
+}
+
+TEST(ModelIoTest, RejectsSplitFeatureOutsideTheModelWidth) {
+  EXPECT_THROW(read_text(mutate(tiny_model_text(), "node 0 0 0.5",
+                                "node 1 0 0.5")),
+               Error);
+}
+
+// The width is an invariant of the model's predict entry points: a matrix
+// of any other width is rejected before a row is read.
+TEST(ModelIoTest, PredictRejectsInputOfAnotherWidth) {
+  const auto d = make_data(8);
+  GbmoBooster booster(cfg_base());
+  const auto model = booster.fit(d);
+  data::DenseMatrix narrow(5, 8);
+  try {
+    (void)model.predict(narrow);
+    FAIL() << "8-column input accepted by a 14-feature model";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("8"), std::string::npos) << what;
+    EXPECT_NE(what.find("14"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)model.predict_staged(data::DenseMatrix(5, 20), 0), Error);
+  EXPECT_THROW((void)model.predict_proba(narrow), Error);
 }
 
 TEST(BoosterCapacity, OverfitsNoiselessData) {

@@ -167,6 +167,82 @@ TEST_F(CliErrors, ModelLoadFailureExitsNonzeroWithClearMessage) {
   EXPECT_NE(garbage.err.find("not a gbmo model file"), std::string::npos);
 }
 
+// A model applied to data of another width must fail loudly on every
+// inference entry point, naming both widths, instead of reading past rows.
+TEST_F(CliErrors, PredictAndEvaluateRejectDataOfAnotherWidth) {
+  const auto gen_wide = run_cli({"generate", "--task", "multiclass", "--n",
+                                 "200", "--m", "12", "--d", "3", "--seed", "4",
+                                 "--out", tmp_path("wide.csv")});
+  ASSERT_EQ(gen_wide.code, 0) << gen_wide.err;
+  const auto gen_narrow = run_cli({"generate", "--task", "multiclass", "--n",
+                                   "50", "--m", "8", "--d", "3", "--seed", "5",
+                                   "--out", tmp_path("narrow.csv")});
+  ASSERT_EQ(gen_narrow.code, 0) << gen_narrow.err;
+  const auto train = run_cli({"train", "--data", tmp_path("wide.csv"),
+                              "--features", "12", "--model", tmp_path("w.model"),
+                              "--trees", "4", "--depth", "3", "--bins", "16"});
+  ASSERT_EQ(train.code, 0) << train.err;
+
+  const auto expect_width_error = [](const CliResult& r, const std::string& what) {
+    EXPECT_NE(r.code, 0) << what;
+    EXPECT_NE(r.err.find("input has 8 features"), std::string::npos)
+        << what << ": " << r.err;
+    EXPECT_NE(r.err.find("expects 12"), std::string::npos) << what << ": " << r.err;
+  };
+  for (const std::string engine : {"compiled", "reference", "resilient"}) {
+    expect_width_error(
+        run_cli({"predict", "--model", tmp_path("w.model"), "--data",
+                 tmp_path("narrow.csv"), "--features", "8", "--out",
+                 tmp_path("s.csv"), "--engine", engine}),
+        "predict --engine " + engine);
+  }
+  expect_width_error(run_cli({"evaluate", "--model", tmp_path("w.model"),
+                              "--data", tmp_path("narrow.csv"), "--features",
+                              "8"}),
+                     "evaluate");
+}
+
+// Malformed model files end in an error, not a hang or an allocation
+// failure: a root whose children point back at itself, and a tree count far
+// beyond what the file holds.
+TEST_F(CliErrors, MalformedModelCountsAndCyclesAreErrors) {
+  const auto gen = run_cli({"generate", "--task", "multiregress", "--n", "20",
+                            "--m", "1", "--d", "1", "--seed", "2", "--out",
+                            tmp_path("one.csv")});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  const std::string body =
+      "gbmo-model-v1\ntask multiregress 1\nfeatures 1 4\ncuts 1 0.5\n";
+  {
+    std::ofstream os(tmp_path("cycle.model"));
+    os << body << "trees 1\ntree 3 2\nnode 0 0 0.5 0 0 -1 1 10 1\n"
+       << "node -1 -1 0 -1 -1 0 0 5 1\nnode -1 -1 0 -1 -1 1 0 5 1\n"
+       << "leaves -1 1\n";
+  }
+  {
+    std::ofstream os(tmp_path("huge.model"));
+    os << body << "trees 2000000000\n";
+  }
+  for (const char* name : {"cycle.model", "huge.model"}) {
+    const auto r = run_cli({"predict", "--model", tmp_path(name), "--data",
+                            tmp_path("one.csv"), "--features", "1", "--task",
+                            "multiregress", "--outputs", "1", "--out",
+                            tmp_path("s.csv")});
+    EXPECT_EQ(r.code, 1) << name;
+    EXPECT_NE(r.err.find("failed to load model"), std::string::npos)
+        << name << ": " << r.err;
+    EXPECT_EQ(r.err.find("bad_alloc"), std::string::npos) << name << ": " << r.err;
+  }
+}
+
+TEST_F(CliErrors, NegativeDeviceBudgetIsRejected) {
+  const auto r = run_cli({"train", "--data", tmp_path("none.csv"), "--features",
+                          "8", "--model", tmp_path("m.model"),
+                          "--max-device-mb", "-1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--max-device-mb must be >= 0"), std::string::npos)
+      << r.err;
+}
+
 TEST(CliBench, RunsNamedReplica) {
   const auto bench = run_cli({"bench", "--dataset", "RF1", "--system", "ours",
                               "--trees", "3", "--bins", "32"});

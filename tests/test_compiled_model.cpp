@@ -66,8 +66,23 @@ TEST(CompiledModel, HostTraversalMatchesReference) {
   EXPECT_EQ(compiled.node_base(compiled.n_trees()),
             static_cast<std::int32_t>(nodes));
 
+  // Host walk of every tree through the SoA traversal (same depth as the
+  // Tree walk), accumulated in ascending tree order like the oracle.
   const auto reference = predict_scores(model.trees, d.x, model.n_outputs);
-  EXPECT_TRUE(bitwise_equal(compiled.predict_host(d.x), reference));
+  const auto dim = static_cast<std::size_t>(model.n_outputs);
+  std::vector<float> host(reference.size(), 0.0f);
+  for (std::size_t t = 0; t < compiled.n_trees(); ++t) {
+    for (std::size_t i = 0; i < d.x.n_rows(); ++i) {
+      const auto leaf = compiled.traverse(t, d.x.row(i));
+      int levels = -1;
+      model.trees[t].find_leaf(d.x.row(i), &levels);
+      EXPECT_EQ(leaf.levels, levels);
+      const float* src =
+          compiled.leaf_pool().data() + static_cast<std::size_t>(leaf.offset);
+      for (std::size_t k = 0; k < dim; ++k) host[i * dim + k] += src[k];
+    }
+  }
+  EXPECT_TRUE(bitwise_equal(host, reference));
 }
 
 TEST(CompiledModel, DeviceBitIdenticalAcrossSimThreads) {

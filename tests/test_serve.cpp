@@ -7,6 +7,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -78,6 +79,30 @@ TEST(Serve, EnginesMatchScalarReferenceBitwise) {
               0)
         << name;
     EXPECT_GT(engine->modeled_seconds(), 0.0) << name;
+  }
+}
+
+// Every engine takes its batch through the model's input step: a batch of
+// another width is an error naming both widths, before any kernel runs, and
+// the resilient engine does not count it as a fallback.
+TEST(Serve, EnginesRejectBatchesOfAnotherWidth) {
+  const auto model = train_model();
+  for (const std::size_t cols : {8u, 12u}) {
+    const auto x = nan_batch(20, cols);
+    for (const auto& name : engine_names()) {
+      auto engine = make_engine(name, model);
+      try {
+        (void)engine->predict(x);
+        ADD_FAILURE() << name << " accepted a " << cols << "-column batch";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("input has " + std::to_string(cols)),
+                  std::string::npos) << name << ": " << what;
+        EXPECT_NE(what.find("expects 10"), std::string::npos) << name << ": " << what;
+      }
+      EXPECT_EQ(engine->modeled_seconds(), 0.0) << name;
+      EXPECT_EQ(engine->fallback_count(), 0u) << name;
+    }
   }
 }
 

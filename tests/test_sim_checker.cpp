@@ -118,7 +118,7 @@ TEST(SimChecker, FeatureParallelMultiGpuClean) {
   expect_clean_training(cfg, "feature-parallel x2");
 }
 
-TEST(SimChecker, PredictTreesCleanBothVariants) {
+TEST(SimChecker, PredictTreesClean) {
   core::Model model;
   {
     // Train unchecked; the predict launches are the units under test.
@@ -129,17 +129,13 @@ TEST(SimChecker, PredictTreesCleanBothVariants) {
   const auto d = small_data();
   std::vector<float> scores(d.x.n_rows() *
                             static_cast<std::size_t>(model.n_outputs));
-  for (bool tree_parallel : {false, true}) {
-    for (int threads : {1, 4}) {
-      CheckGuard guard(sim::CheckMode::kFail, threads);
-      sim::Device dev(sim::DeviceSpec::rtx4090());
-      core::predict_scores_device(dev, model.trees, d.x, scores,
-                                  tree_parallel);
-      EXPECT_EQ(sim::CheckReport::instance().total_violations(), 0u)
-          << "predict_trees tree_parallel=" << tree_parallel << " @ "
-          << threads << " threads:\n"
-          << sim::CheckReport::instance().summary();
-    }
+  for (int threads : {1, 4}) {
+    CheckGuard guard(sim::CheckMode::kFail, threads);
+    sim::Device dev(sim::DeviceSpec::rtx4090());
+    core::predict_scores_device(dev, model.trees, d.x, scores);
+    EXPECT_EQ(sim::CheckReport::instance().total_violations(), 0u)
+        << "predict_trees @ " << threads << " threads:\n"
+        << sim::CheckReport::instance().summary();
   }
 }
 

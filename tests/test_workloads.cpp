@@ -688,7 +688,7 @@ TEST(WorkloadsSlow, CategoricalOutOfCoreMatchesInCore) {
   auto cfg = small_config();
   cfg.cat_cols = {0, 1, 2};
   const std::string in_core = train_serialized(d, cfg, kTopologies[0]);
-  cfg.max_device_mb = 1;
+  cfg.device_budget(1 << 20);
   cfg.stream_chunk_rows = 37;
   const std::string streamed = train_serialized(d, cfg, kTopologies[0]);
   EXPECT_EQ(streamed, in_core);

@@ -232,8 +232,12 @@ core::TrainConfig parse_train_config(const Args& args) {
       static_cast<int>(args.integer("hist-budget-mb", cfg.hist_budget_mb));
   // Out-of-core streaming (DESIGN.md §12): a device-memory budget for the
   // bin-packed block cache and/or a row-chunk size for streaming ingest.
-  cfg.max_device_mb =
-      static_cast<int>(args.integer("max-device-mb", cfg.max_device_mb));
+  const long device_mb = args.integer("max-device-mb", 0);
+  if (device_mb < 0 || device_mb >= (1L << 43)) {
+    throw Error("--max-device-mb must be >= 0 and < 2^43 (got " +
+                std::to_string(device_mb) + ")");
+  }
+  cfg.device_budget_bytes = static_cast<std::uint64_t>(device_mb) << 20;
   cfg.stream_chunk_rows =
       static_cast<int>(args.integer("stream-chunk-rows", cfg.stream_chunk_rows));
   // Surface nonsense combinations here (clear one-line message + exit 1)
